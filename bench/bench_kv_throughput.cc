@@ -3,8 +3,8 @@
  * End-to-end throughput of the oblivious KV store (src/app) over the
  * sharded service: ops/sec, bytes moved on the block channel, and
  * p50/p99 op latency for each workload shape x shard count.  Every
- * KV op costs exactly 2 * blocksPerSlot() block transfers regardless
- * of hit/miss/kind (the obliviousness invariant), so the bytes column
+ * KV op costs exactly blocksPerSlot() block accesses regardless of
+ * hit/miss/kind (the obliviousness invariant), so the bytes column
  * is flat per op and the interesting axes are shard parallelism and
  * key-popularity shape (contention on hot keys serializes same-key
  * ops).
@@ -210,8 +210,8 @@ runPoint(const Shape &shape, unsigned shards, unsigned clients,
     // Blocks the measured ops moved on the store<->service channel
     // (preload excluded: counters snapshot minus preload cost would
     // need a second snapshot, so count from op arithmetic -- every op
-    // is exactly 2 * blocksPerSlot() blocks).
-    p.channelBytes = p.ops * 2 * store.blocksPerSlot() * blockBytes;
+    // is exactly blocksPerSlot() block accesses).
+    p.channelBytes = p.ops * store.blocksPerSlot() * blockBytes;
 
     const std::string name =
         std::string(shape.name) + "_shards" + std::to_string(shards);
@@ -261,7 +261,7 @@ main()
                             p.channelBytes));
         }
     }
-    std::printf("\n(every op moves the same 2*blocksPerSlot blocks -- "
+    std::printf("\n(every op moves the same blocksPerSlot blocks -- "
                 "hit or miss, get or put;\n that flatness IS the "
                 "obliviousness invariant, tested in tests/app)\n");
     return 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/bit_utils.hh"
+
 namespace secdimm::app
 {
 
@@ -58,13 +60,20 @@ ObliviousKVStore::slotBlocksFor(std::size_t max_key_bytes,
 }
 
 std::uint64_t
+ObliviousKVStore::slotsIn(std::uint64_t capacity_blocks, unsigned shards,
+                          unsigned blocks_per_slot)
+{
+    return capacity_blocks / shards / divCeil(blocks_per_slot, shards);
+}
+
+std::uint64_t
 ObliviousKVStore::slotsFor(
     const serve::ShardedSecureMemory::Options &serve_opts,
     std::size_t max_key_bytes, std::size_t max_value_bytes)
 {
     serve::ShardedSecureMemory probe(serve_opts);
-    return probe.capacityBlocks() /
-           slotBlocksFor(max_key_bytes, max_value_bytes);
+    return slotsIn(probe.capacityBlocks(), probe.numShards(),
+                   slotBlocksFor(max_key_bytes, max_value_bytes));
 }
 
 ObliviousKVStore::ObliviousKVStore(const Options &options)
@@ -74,7 +83,10 @@ ObliviousKVStore::ObliviousKVStore(const Options &options)
       maxValueBytes_(options.maxValueBytes),
       blocksPerSlot_(slotBlocksFor(options.maxKeyBytes,
                                    options.maxValueBytes)),
-      slotCount_(mem_->capacityBlocks() / blocksPerSlot_),
+      slotStride_(static_cast<unsigned>(
+          divCeil(blocksPerSlot_, mem_->numShards()))),
+      slotCount_(slotsIn(mem_->capacityBlocks(), mem_->numShards(),
+                         blocksPerSlot_)),
       opDeadline_(options.opDeadline),
       rng_(options.seed * 1000003 + 17)
 {
@@ -89,9 +101,6 @@ ObliviousKVStore::ObliviousKVStore(const Options &options)
             std::to_string(blocksPerSlot_) + " blocks; need >= " +
             std::to_string(capacityKeys_ + 2) +
             " (capacityKeys + 2 slack)");
-    slackSlots_ = slotCount_ - capacityKeys_;
-    maxOpsInFlight_ = static_cast<std::size_t>(
-        std::max<std::uint64_t>(1, slackSlots_ - 1));
 
     freeSlots_.reserve(slotCount_);
     for (std::uint64_t s = 0; s < slotCount_; ++s)
@@ -100,7 +109,7 @@ ObliviousKVStore::ObliviousKVStore(const Options &options)
     kv_.setCounter("kv.capacity_keys", capacityKeys_);
     kv_.setCounter("kv.slots", slotCount_);
     kv_.setCounter("kv.blocks_per_slot", blocksPerSlot_);
-    kv_.setCounter("kv.slack_slots", slackSlots_);
+    kv_.setCounter("kv.slack_slots", slotCount_ - capacityKeys_);
     kv_.setGauge("kv.live_keys", 0.0);
 }
 
@@ -191,12 +200,18 @@ ObliviousKVStore::awaitFuture(std::future<T> &f, Addr block)
     return f.get();
 }
 
+Addr
+ObliviousKVStore::blockOf(std::uint64_t slot, unsigned b) const
+{
+    const unsigned n = mem_->numShards();
+    return (slot * slotStride_ + b / n) * n + b % n;
+}
+
 std::uint64_t
 ObliviousKVStore::drawFreeSlotLocked()
 {
-    // The admission cap (maxOpsInFlight_ < slackSlots_) guarantees
-    // the pool cannot run dry: every in-flight op holds exactly one
-    // pool slot and live + reserved inserts never exceed capacityKeys.
+    // Only admitted inserts draw, and live + reserved inserts stay
+    // below capacityKeys <= slotCount - 2, so the pool never runs dry.
     if (freeSlots_.empty())
         throw std::logic_error("kv: free-slot pool exhausted");
     const std::size_t i =
@@ -288,9 +303,7 @@ ObliviousKVStore::runOps(std::vector<PlannedOp> &ops)
     kv_.sampleHistogram("kv.batch_size", ops.size());
 
     // Ordered rounds: a key repeated inside one batch runs in a later
-    // round, so same-key ops apply in submission order; rounds are
-    // further chunked to the admission cap so the free-slot pool can
-    // never be exhausted by one oversized batch.
+    // round, so same-key ops apply in submission order.
     std::vector<bool> done(ops.size(), false);
     std::size_t remaining = ops.size();
     while (remaining > 0) {
@@ -303,8 +316,6 @@ ObliviousKVStore::runOps(std::vector<PlannedOp> &ops)
             chunk.push_back(&ops[i]);
             done[i] = true;
             --remaining;
-            if (chunk.size() == maxOpsInFlight_)
-                break;
         }
         runChunk(chunk);
     }
@@ -314,38 +325,31 @@ void
 ObliviousKVStore::planChunk(std::vector<PlannedOp *> &chunk,
                             std::unique_lock<std::mutex> &lk)
 {
-    // Admit: wait until our keys are not in flight and the chunk fits
-    // under the in-flight-op cap.  We hold no pool slots while
-    // waiting, and in-flight ops complete without needing anything we
-    // hold, so this cannot deadlock.
+    // Admit once none of our keys is in flight.  In-flight ops
+    // complete without needing anything we hold, so this cannot
+    // deadlock.
     cv_.wait(lk, [&] {
-        if (inflightOps_ != 0 &&
-            inflightOps_ + chunk.size() > maxOpsInFlight_)
-            return false;
         for (const PlannedOp *op : chunk)
             if (inflightKeys_.count(op->key))
                 return false;
         return true;
     });
 
-    for (PlannedOp *op : chunk)
-        inflightKeys_.insert(op->key);
-    inflightOps_ += chunk.size();
-
     for (PlannedOp *op : chunk) {
+        inflightKeys_.insert(op->key);
         auto it = index_.find(op->key);
         op->hit = it != index_.end();
-        if (op->kind == OpKind::Put && !op->hit) {
-            if (index_.size() + reservedInserts_ >= capacityKeys_)
-                op->full = true;
-            else {
-                op->insert = true;
-                ++reservedInserts_;
-            }
+        if (op->hit) {
+            op->slot = it->second;
+        } else if (op->kind == OpKind::Put &&
+                   index_.size() + reservedInserts_ < capacityKeys_) {
+            op->insert = true;
+            ++reservedInserts_;
+            op->slot = drawFreeSlotLocked();
+        } else {
+            op->full = op->kind == OpKind::Put;
+            op->slot = rng_.nextBelow(slotCount_);
         }
-        op->readSlot =
-            op->hit ? it->second : rng_.nextBelow(slotCount_);
-        op->writeSlot = drawFreeSlotLocked();
     }
 }
 
@@ -358,137 +362,113 @@ ObliviousKVStore::commitChunk(std::vector<PlannedOp *> &chunk)
         switch (op->kind) {
           case OpKind::Get:
             kv_.incCounter("kv.gets");
-            if (op->hit) {
-                index_[op->key] = op->writeSlot;
-                freeSlots_.push_back(op->readSlot);
-            } else {
-                freeSlots_.push_back(op->writeSlot);
-                kv_.incCounter("kv.dummy_ops");
-            }
             break;
           case OpKind::Put:
             kv_.incCounter("kv.puts");
             if (op->hit) {
-                index_[op->key] = op->writeSlot;
-                freeSlots_.push_back(op->readSlot);
                 kv_.incCounter("kv.updates");
             } else if (op->insert) {
-                index_[op->key] = op->writeSlot;
+                index_[op->key] = op->slot;
                 --reservedInserts_;
                 kv_.incCounter("kv.inserts");
-            } else { // Full: dummy sequence done, slot returns.
-                freeSlots_.push_back(op->writeSlot);
+            } else {
                 kv_.incCounter("kv.store_full_errors");
-                kv_.incCounter("kv.dummy_ops");
             }
             break;
           case OpKind::Erase:
             kv_.incCounter("kv.erases");
             if (op->hit) {
                 index_.erase(op->key);
-                freeSlots_.push_back(op->readSlot);
-                freeSlots_.push_back(op->writeSlot);
-            } else {
-                freeSlots_.push_back(op->writeSlot);
-                kv_.incCounter("kv.dummy_ops");
+                freeSlots_.push_back(op->slot);
             }
             break;
         }
+        if (!op->hit && !op->insert)
+            kv_.incCounter("kv.dummy_ops");
         kv_.incCounter(op->hit ? "kv.hits" : "kv.misses");
         kv_.incCounter("kv.blocks_read", blocksPerSlot_);
-        kv_.incCounter("kv.blocks_written", blocksPerSlot_);
     }
-    inflightOps_ -= chunk.size();
     cv_.notify_all();
 }
 
 void
 ObliviousKVStore::rollbackChunk(std::vector<PlannedOp *> &chunk)
 {
+    // A timed-out op's accesses stay queued and still land, and
+    // per-shard FIFO keeps any later op on the same slot behind them
+    // (a failed shard's never land, but its data is gone anyway).  So
+    // an update keeps its unchanged index entry and its new record;
+    // an insert stays unindexed and its slot returns to the pool; an
+    // erase hit, whose zeros cannot be recalled, takes effect.
     std::lock_guard<std::mutex> lk(mu_);
     for (PlannedOp *op : chunk) {
         inflightKeys_.erase(op->key);
-        freeSlots_.push_back(op->writeSlot);
-        if (op->insert)
+        if (op->insert) {
+            freeSlots_.push_back(op->slot);
             --reservedInserts_;
-        // No index mutation happened yet, so the pre-op mapping (and
-        // the data at the key's old slot) is untouched.
+        } else if (op->kind == OpKind::Erase && op->hit) {
+            index_.erase(op->key);
+            freeSlots_.push_back(op->slot);
+        }
     }
-    inflightOps_ -= chunk.size();
     cv_.notify_all();
 }
 
 void
 ObliviousKVStore::runChunk(std::vector<PlannedOp *> &chunk)
 {
-    if (chunk.empty())
-        return;
     {
         std::unique_lock<std::mutex> lk(mu_);
         planChunk(chunk, lk);
     }
 
-    const PlannedOp *full_op = nullptr;
+    // One phase: every op is blocksPerSlot_ accesses to its one slot,
+    // each returning the old block and storing the op's payload --
+    // the record for a put, zeros for an erase hit, nothing else.
+    std::vector<std::vector<BlockData>> olds(chunk.size());
     try {
-        // Phase R: fan every op's slot reads out, then await.  Every
-        // op reads exactly blocksPerSlot_ consecutive blocks.
-        std::vector<std::future<BlockData>> reads;
-        reads.reserve(chunk.size() * blocksPerSlot_);
-        for (PlannedOp *op : chunk)
-            for (unsigned b = 0; b < blocksPerSlot_; ++b)
-                reads.push_back(mem_->submitRead(
-                    op->readSlot * blocksPerSlot_ + b));
-        std::size_t r = 0;
+        std::vector<std::future<BlockData>> accesses;
+        accesses.reserve(chunk.size() * blocksPerSlot_);
         for (PlannedOp *op : chunk) {
-            op->readBlocks.resize(blocksPerSlot_);
-            for (unsigned b = 0; b < blocksPerSlot_; ++b, ++r)
-                op->readBlocks[b] = awaitFuture(
-                    reads[r], op->readSlot * blocksPerSlot_ + b);
-        }
-
-        // Interpret the reads and build phase-W payloads.
-        std::vector<std::vector<BlockData>> payloads(chunk.size());
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
-            PlannedOp *op = chunk[i];
-            if (op->hit) {
-                auto rec = decodeRecord(op->readBlocks);
-                if (!rec || rec->first != op->key) {
-                    // Corrupt record (e.g. byzantine damage): count
-                    // it, serve a miss, but keep the access sequence.
-                    kv_.incCounter("kv.key_mismatches");
-                } else {
-                    op->found = true;
-                    if (op->kind == OpKind::Get)
-                        op->result = rec->second;
-                }
-            }
+            std::vector<BlockData> payload;
             if (op->kind == OpKind::Put && !op->full)
-                payloads[i] = encodeRecord(op->key, op->value);
-            else if (op->hit && op->kind != OpKind::Erase)
-                payloads[i] = op->readBlocks; // Move record verbatim.
-            else
-                payloads[i].assign(blocksPerSlot_, BlockData{});
-            if (op->full)
-                full_op = op;
-        }
-
-        // Phase W: every op writes exactly blocksPerSlot_ consecutive
-        // blocks of its (uniform, exclusively held) write slot.
-        std::vector<std::future<void>> writes;
-        writes.reserve(chunk.size() * blocksPerSlot_);
-        for (std::size_t i = 0; i < chunk.size(); ++i)
+                payload = encodeRecord(op->key, op->value);
+            else if (op->kind == OpKind::Erase && op->hit)
+                payload.assign(blocksPerSlot_, BlockData{});
             for (unsigned b = 0; b < blocksPerSlot_; ++b)
-                writes.push_back(mem_->submitWrite(
-                    chunk[i]->writeSlot * blocksPerSlot_ + b,
-                    payloads[i][b]));
-        std::size_t w = 0;
-        for (PlannedOp *op : chunk)
-            for (unsigned b = 0; b < blocksPerSlot_; ++b, ++w)
-                awaitFuture(writes[w],
-                            op->writeSlot * blocksPerSlot_ + b);
+                accesses.push_back(mem_->submitAccess(
+                    blockOf(op->slot, b),
+                    payload.empty() ? nullptr : &payload[b]));
+        }
+        std::size_t a = 0;
+        for (std::size_t i = 0; i < chunk.size(); ++i) {
+            olds[i].resize(blocksPerSlot_);
+            for (unsigned b = 0; b < blocksPerSlot_; ++b, ++a)
+                olds[i][b] = awaitFuture(accesses[a],
+                                         blockOf(chunk[i]->slot, b));
+        }
     } catch (...) {
         rollbackChunk(chunk);
         throw;
+    }
+
+    const PlannedOp *full_op = nullptr;
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+        PlannedOp *op = chunk[i];
+        if (op->full)
+            full_op = op;
+        if (!op->hit)
+            continue;
+        auto rec = decodeRecord(olds[i]);
+        if (!rec || rec->first != op->key) {
+            // Corrupt record (e.g. byzantine damage): count it and
+            // serve a miss; the accesses already happened.
+            kv_.incCounter("kv.key_mismatches");
+        } else {
+            op->found = true;
+            if (op->kind == OpKind::Get)
+                op->result = std::move(rec->second);
+        }
     }
 
     commitChunk(chunk);
@@ -520,10 +500,9 @@ ObliviousKVStore::runOpsLeaky(std::vector<PlannedOp> &ops)
                 break; // Miss: zero accesses -- the leak.
             std::vector<BlockData> blocks(it->second.blocks);
             for (unsigned b = 0; b < it->second.blocks; ++b) {
-                auto f = mem_->submitRead(
-                    it->second.slot * blocksPerSlot_ + b);
-                blocks[b] = awaitFuture(
-                    f, it->second.slot * blocksPerSlot_ + b);
+                const Addr block = blockOf(it->second.slot, b);
+                auto f = mem_->submitRead(block);
+                blocks[b] = awaitFuture(f, block);
             }
             kv_.incCounter("kv.blocks_read", it->second.blocks);
             std::vector<BlockData> padded = blocks;
@@ -553,9 +532,9 @@ ObliviousKVStore::runOpsLeaky(std::vector<PlannedOp> &ops)
                 blockBytes);
             const auto payload = encodeRecord(op.key, op.value);
             for (unsigned b = 0; b < used; ++b) {
-                auto f = mem_->submitWrite(
-                    slot * blocksPerSlot_ + b, payload[b]);
-                awaitFuture(f, slot * blocksPerSlot_ + b);
+                const Addr block = blockOf(slot, b);
+                auto f = mem_->submitWrite(block, payload[b]);
+                awaitFuture(f, block);
             }
             kv_.incCounter("kv.blocks_written", used);
             kv_.incCounter(op.hit ? "kv.updates" : "kv.inserts");

@@ -2,34 +2,31 @@
  * @file
  * Oblivious key-value store over the sharded oblivious memory
  * service: variable-length keys map to fixed-geometry slots (a run of
- * consecutive blocks) through a position-map-style client index that
- * is remapped on EVERY access, the slot-granularity analogue of Path
- * ORAM's leaf remap (Stefanov et al.) and of the app-over-ORAM
- * layering in The Pyramid Scheme.
+ * blocks striped across the shards) through a trusted-side client
+ * index, the app-over-ORAM layering of The Pyramid Scheme.
  *
  * Obliviousness invariant (docs/KVSTORE.md has the full argument):
  * every operation -- get or put, hit or miss, insert or update or
  * erase, even a capacity-exhausted insert -- performs EXACTLY
- * blocksPerSlot() block reads of one slot followed by blocksPerSlot()
- * block writes of another, where
+ * blocksPerSlot() read-modify-write accesses (submitAccess), one per
+ * block of one slot, where the slot is
  *
- *  - the read slot is the key's current slot (a uniform draw made at
- *    the key's previous access and never revealed since) on a hit,
- *    or a fresh uniform draw over ALL slots on a miss;
- *  - the written slot is always a fresh uniform draw from the free
- *    pool (on a hit the record MOVES there and the old slot is
- *    freed; misses write an indistinguishable dummy and return the
- *    slot to the pool).
+ *  - the key's slot on a hit;
+ *  - a uniform draw from the free pool for an insert;
+ *  - a uniform draw over ALL slots for a miss or a rejected insert,
  *
- * The service hides local addresses inside each shard (each shard is
- * a complete ORAM), so the externally visible channel reduces to the
- * per-shard schedules plus the interleaved (shard, kind) sequence --
- * and every slot above is a uniform draw, so the visible shard
- * residues are independent of keys, values, and hit/miss outcomes.
- * The deliberately leaky baseline (KvIndexMode::LeakyBaseline) pins
- * keys to static slots and skips dummy work; it exists as the
- * positive control that makes deepCompareTraces / compareSchedules
- * FAIL (tests/app, tools/sdimm_leakmeter).
+ * and the access stores the encoded record for a put, zeros for an
+ * erase hit, and nothing otherwise.  Each shard is a complete ORAM:
+ * every access reads and rewrites a whole path and remaps the block,
+ * whatever the op, so a slot may be accessed in place -- re-accessing
+ * it is indistinguishable from touching any other.  Block b of slot
+ * s lives on shard b mod N, so the per-op shard sequence is the same
+ * fixed sequence for every slot, and the schedule records every
+ * access as one kind.  The deliberately leaky baseline
+ * (KvIndexMode::LeakyBaseline) pins keys to static slots, issues
+ * plain reads and writes of hit length, and skips dummy work; it
+ * exists as the positive control that makes deepCompareTraces /
+ * compareSchedules FAIL (tests/app, tools/sdimm_leakmeter).
  */
 
 #ifndef SECUREDIMM_APP_KV_STORE_HH
@@ -105,7 +102,7 @@ class ValueTooLargeError : public KvError
 /** Which client index implementation the store runs. */
 enum class KvIndexMode
 {
-    /** Per-access remap; the invariant documented above holds. */
+    /** In-place oblivious accesses; the invariant above holds. */
     Oblivious,
     /**
      * Positive control: static key->slot assignment, hit-length
@@ -133,7 +130,7 @@ class ObliviousKVStore
         /** Live-key capacity; inserts beyond it throw KvStoreFullError.
          *  The service capacity must provide at least capacityKeys + 2
          *  slots (constructor throws std::invalid_argument if not);
-         *  the surplus is the free-slot slack remaps draw from. */
+         *  the surplus is the free-slot slack inserts draw from. */
         std::uint64_t capacityKeys = 256;
 
         /** Geometry bounds; together they fix blocksPerSlot(). */
@@ -142,13 +139,16 @@ class ObliviousKVStore
 
         KvIndexMode index = KvIndexMode::Oblivious;
 
-        /** Seed of the slot-remap draws (decorrelated from the
-         *  service seed by the usual per-component derivation). */
+        /** Seed of the slot draws (decorrelated from the service
+         *  seed by the usual per-component derivation). */
         std::uint64_t seed = 1;
 
         /** Per-block-request wait bound; 0 = unbounded.  On expiry
-         *  the op throws serve::RequestTimeoutError and rolls back
-         *  (the key keeps its pre-op value). */
+         *  the op throws serve::RequestTimeoutError, but its accesses
+         *  stay queued and land in per-shard FIFO order: once the
+         *  service drains, a timed-out update holds the new record,
+         *  a timed-out insert leaves the key absent and a timed-out
+         *  erase has removed it -- never a torn record. */
         std::chrono::milliseconds opDeadline{0};
     };
 
@@ -171,7 +171,7 @@ class ObliviousKVStore
     /* ---- batched operations -------------------------------------- */
     /**
      * Batched lookup: plans every op in one pass and fans the block
-     * reads out across the shard queues before any wait, amortizing
+     * accesses out across the shard queues before any wait, amortizing
      * per-shard worker wakeups.  Reads observe pre-batch state except
      * that duplicate keys inside one batch apply in order.
      */
@@ -228,16 +228,22 @@ class ObliviousKVStore
         bool hit = false;
         bool insert = false; ///< Put creating a new live key.
         bool full = false;   ///< Insert rejected: dummy + throw.
-        std::uint64_t readSlot = 0;
-        std::uint64_t writeSlot = 0;
+        std::uint64_t slot = 0;
 
-        std::vector<BlockData> readBlocks;
         std::optional<std::string> result;
         bool found = false;
     };
 
     static unsigned slotBlocksFor(std::size_t max_key_bytes,
                                   std::size_t max_value_bytes);
+
+    /** Slots that fit @p capacity_blocks striped over @p shards. */
+    static std::uint64_t slotsIn(std::uint64_t capacity_blocks,
+                                 unsigned shards, unsigned blocks_per_slot);
+
+    /** Service block of block @p b of slot @p slot: shard b mod N,
+     *  local index slot * ceil(B/N) + b / N. */
+    Addr blockOf(std::uint64_t slot, unsigned b) const;
 
     /** Run @p ops as ordered rounds of distinct-key chunks. */
     void runOps(std::vector<PlannedOp> &ops);
@@ -276,9 +282,8 @@ class ObliviousKVStore
     std::size_t maxKeyBytes_;
     std::size_t maxValueBytes_;
     unsigned blocksPerSlot_;
+    unsigned slotStride_; ///< Local blocks per slot on each shard.
     std::uint64_t slotCount_;
-    std::uint64_t slackSlots_;
-    std::size_t maxOpsInFlight_;
     std::chrono::milliseconds opDeadline_;
 
     mutable std::mutex mu_;
@@ -287,7 +292,6 @@ class ObliviousKVStore
     std::vector<std::uint64_t> freeSlots_;
     std::unordered_set<std::string> inflightKeys_;
     std::uint64_t reservedInserts_ = 0;
-    std::size_t inflightOps_ = 0;
     Rng rng_;
 
     /** Leaky-baseline index: static slot + used-block count. */

@@ -133,8 +133,7 @@ SecureMemorySystem::capacityBytes() const
 }
 
 BlockData
-SecureMemorySystem::accessBlock(Addr block_index, oram::OramOp op,
-                                const BlockData *data)
+SecureMemorySystem::accessBlock(Addr block_index, const BlockData *replace)
 {
     if (block_index >= capacityBlocks_) {
         fatal("SecureMemorySystem: block %llu out of range (capacity "
@@ -142,24 +141,27 @@ SecureMemorySystem::accessBlock(Addr block_index, oram::OramOp op,
               static_cast<unsigned long long>(block_index),
               static_cast<unsigned long long>(capacityBlocks_));
     }
+    const oram::OramOp op =
+        replace != nullptr ? oram::OramOp::Write : oram::OramOp::Read;
     BlockData result{};
     switch (options_.protocol) {
       case Protocol::PathOram:
-        result = pathOram_->access(block_index, op, data);
+        result = pathOram_->access(block_index, op, replace);
         break;
       case Protocol::Freecursive:
-        result = recursive_->access(block_index, op, data);
+        result = recursive_->access(block_index, op, replace);
         break;
       case Protocol::Independent:
-        result = independent_->access(block_index, op, data);
+        result = independent_->access(block_index, op, replace);
         break;
       case Protocol::Split:
-        result = split_->access(block_index, op, data);
+        result = split_->access(block_index, op, replace);
         break;
       case Protocol::IndepSplit:
-        result = indepSplit_->access(block_index, op, data);
+        result = indepSplit_->access(block_index, op, replace);
         break;
     }
+    clearTraces();
     if (audits_.enabled && ++accessesSinceAudit_ >= audits_.interval) {
         accessesSinceAudit_ = 0;
         const verify::AuditReport report = auditNow();
@@ -173,16 +175,43 @@ SecureMemorySystem::accessBlock(Addr block_index, oram::OramOp op,
     return result;
 }
 
+void
+SecureMemorySystem::clearTraces()
+{
+    switch (options_.protocol) {
+      case Protocol::PathOram:
+        pathOram_->clearLeafTrace();
+        break;
+      case Protocol::Freecursive:
+        for (unsigned t = 0; t <= recursive_->posmapLevels(); ++t)
+            recursive_->tree(t).clearLeafTrace();
+        break;
+      case Protocol::Independent:
+        independent_->clearBusTrace();
+        for (unsigned i = 0; i < independent_->numSdimms(); ++i)
+            independent_->buffer(i).oram().clearLeafTrace();
+        break;
+      case Protocol::Split:
+        split_->clearLeafTrace();
+        break;
+      case Protocol::IndepSplit:
+        indepSplit_->clearBusTrace();
+        for (unsigned g = 0; g < indepSplit_->groups(); ++g)
+            indepSplit_->group(g).clearLeafTrace();
+        break;
+    }
+}
+
 BlockData
 SecureMemorySystem::readBlock(Addr block_index)
 {
-    return accessBlock(block_index, oram::OramOp::Read, nullptr);
+    return accessBlock(block_index, nullptr);
 }
 
 void
 SecureMemorySystem::writeBlock(Addr block_index, const BlockData &data)
 {
-    accessBlock(block_index, oram::OramOp::Write, &data);
+    accessBlock(block_index, &data);
 }
 
 void

@@ -100,6 +100,14 @@ class SecureMemorySystem
     /** Write one 64-byte block. */
     void writeBlock(Addr block_index, const BlockData &data);
 
+    /**
+     * One ORAM access to @p block_index: returns the block's old value
+     * and, when @p replace is non-null, stores *replace in its place.
+     * readBlock/writeBlock are this call with and without a
+     * replacement; the protocol access is the same either way.
+     */
+    BlockData accessBlock(Addr block_index, const BlockData *replace);
+
     /** Byte-granular read (spans blocks as needed). */
     void read(Addr byte_addr, void *out, std::size_t len);
 
@@ -150,8 +158,10 @@ class SecureMemorySystem
     fault::FaultInjector *faultInjector() { return injector_.get(); }
 
   private:
-    BlockData accessBlock(Addr block_index, oram::OramOp op,
-                          const BlockData *data);
+    /** Drop the protocol's per-access debug traces (leaf / bus event
+     *  logs), which nothing reads through the facade and which would
+     *  otherwise grow by every access for the object's lifetime. */
+    void clearTraces();
 
     Options options_;
     std::uint64_t capacityBlocks_;

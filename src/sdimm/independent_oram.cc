@@ -612,14 +612,7 @@ IndependentOram::access(Addr addr, oram::OramOp op,
     }
 
     // The value returned to the LLC (pre-write content).
-    BlockData result{};
-    if (!resp->dummy)
-        result = resp->data;
-    if (write && resp->dummy) {
-        // Local write: the SDIMM kept the (updated) block; the old
-        // value is not needed by the caller in this protocol.
-        result = BlockData{};
-    }
+    const BlockData result = resp->dummy ? BlockData{} : resp->data;
 
     // Step 6: one APPEND to every SDIMM; only the destination's is
     // real (and only if the block actually moved).  The destination is

@@ -173,19 +173,15 @@ SecureBuffer::handleAccess(const SealedMessage &msg)
     while (!xfer_.empty())
         serviceTransferQueue();
 
-    const bool keep = req.newLocalLeaf != invalidLeaf;
     const BlockData old = oram_->accessExplicit(
         req.addr, req.localLeaf, req.newLocalLeaf,
         req.write ? oram::OramOp::Write : oram::OramOp::Read,
         req.write ? &req.data : nullptr);
 
-    if (keep && req.write) {
-        // Block stays local after a write: nothing useful to return.
-        resp.dummy = true;
-    } else {
-        resp.data = req.write ? req.data : old;
-        resp.dummy = false;
-    }
+    // The response always carries the pre-access value: the CPU
+    // returns it to the caller (read or write alike), and a read whose
+    // block leaves this SDIMM APPENDs it to the destination.
+    resp.data = old;
 
     lastResponsePlain_ = packResponse(resp);
     haveLastResponse_ = true;

@@ -104,34 +104,36 @@ ShardedSecureMemory::workerLoop(unsigned shard)
              */
             if (!failed) {
                 try {
-                    if (r.write) {
-                        mem.writeBlock(r.local, r.data);
-                        failed = !mem.integrityOk();
-                        if (!failed)
+                    const BlockData old = mem.accessBlock(
+                        r.local, r.replace ? &r.data : nullptr);
+                    failed = !mem.integrityOk();
+                    if (!failed) {
+                        // Record before resolving: once the future is
+                        // ready the client may submit its next
+                        // request, which must not be logged first.
+                        // Accesses record as writes, replacing or not.
+                        if (rec != nullptr)
+                            rec->record(shard,
+                                        r.kind != Request::Kind::Read);
+                        if (r.kind == Request::Kind::Write)
                             r.writeDone.set_value();
-                    } else {
-                        const BlockData d = mem.readBlock(r.local);
-                        failed = !mem.integrityOk();
-                        if (!failed)
-                            r.readDone.set_value(d);
+                        else
+                            r.readDone.set_value(old);
                     }
                 } catch (...) {
                     failed = true;
                 }
             }
+            // A failed shard performs no protocol access for the
+            // request, so nothing is recorded for it.
             if (failed) {
                 auto err = std::make_exception_ptr(
                     ShardFailedError(shard));
-                if (r.write)
+                if (r.kind == Request::Kind::Write)
                     r.writeDone.set_exception(err);
                 else
                     r.readDone.set_exception(err);
             }
-            // A failed shard performs no protocol access for the
-            // request, so there is nothing for the schedule
-            // recorder's adversary to see.
-            if (rec != nullptr && !failed)
-                rec->record(shard, r.write);
         }
         publishHealth(shard, failed);
         live_.incCounter(accessesName_[shard], n);
@@ -178,8 +180,9 @@ ShardedSecureMemory::noteCompleted(std::size_t n)
     }
 }
 
-std::future<BlockData>
-ShardedSecureMemory::submitRead(Addr block_index)
+void
+ShardedSecureMemory::enqueue(Addr block_index, Request &&r,
+                             const char *what)
 {
     if (block_index >= capacityBlocks_) {
         fatal("ShardedSecureMemory: block %llu out of range "
@@ -188,40 +191,48 @@ ShardedSecureMemory::submitRead(Addr block_index)
               static_cast<unsigned long long>(capacityBlocks_));
     }
     const unsigned shard = shardOf(block_index);
-    Request r;
     r.local = localBlock(block_index);
-    r.write = false;
-    std::future<BlockData> f = r.readDone.get_future();
     noteSubmitted(shard);
     if (!queues_[shard]->push(std::move(r))) {
         noteCompleted(1);
-        throw std::runtime_error(
-            "ShardedSecureMemory: submitRead after shutdown");
+        throw std::runtime_error(std::string("ShardedSecureMemory: ") +
+                                 what + " after shutdown");
     }
+}
+
+std::future<BlockData>
+ShardedSecureMemory::submitRead(Addr block_index)
+{
+    Request r;
+    std::future<BlockData> f = r.readDone.get_future();
+    enqueue(block_index, std::move(r), "submitRead");
     return f;
 }
 
 std::future<void>
 ShardedSecureMemory::submitWrite(Addr block_index, const BlockData &data)
 {
-    if (block_index >= capacityBlocks_) {
-        fatal("ShardedSecureMemory: block %llu out of range "
-              "(capacity %llu blocks)",
-              static_cast<unsigned long long>(block_index),
-              static_cast<unsigned long long>(capacityBlocks_));
-    }
-    const unsigned shard = shardOf(block_index);
     Request r;
-    r.local = localBlock(block_index);
-    r.write = true;
+    r.kind = Request::Kind::Write;
+    r.replace = true;
     r.data = data;
     std::future<void> f = r.writeDone.get_future();
-    noteSubmitted(shard);
-    if (!queues_[shard]->push(std::move(r))) {
-        noteCompleted(1);
-        throw std::runtime_error(
-            "ShardedSecureMemory: submitWrite after shutdown");
+    enqueue(block_index, std::move(r), "submitWrite");
+    return f;
+}
+
+std::future<BlockData>
+ShardedSecureMemory::submitAccess(Addr block_index,
+                                  const BlockData *replace)
+{
+    Request r;
+    r.kind = Request::Kind::Access;
+    if (replace != nullptr) {
+        r.replace = true;
+        r.data = *replace;
     }
+    std::future<BlockData> f = r.readDone.get_future();
+    enqueue(block_index, std::move(r), "submitAccess");
     return f;
 }
 

@@ -18,9 +18,10 @@
  *  - synchronous facade: readBlock/writeBlock plus byte-granular
  *    read/write that may span shards (adjacent blocks live on
  *    different shards, so multi-block spans fan out in parallel);
- *  - asynchronous futures: submitRead/submitWrite enqueue and return
- *    immediately (or block briefly on a full queue -- that is the
- *    backpressure), completing on the shard worker.
+ *  - asynchronous futures: submitRead/submitWrite/submitAccess
+ *    enqueue and return immediately (or block briefly on a full
+ *    queue -- that is the backpressure), completing on the shard
+ *    worker.
  *
  * Batching: each worker drains up to Options::maxBatch requests per
  * wakeup; maxBatch == 1 disables batching.  See docs/SHARDING.md.
@@ -186,6 +187,18 @@ class ShardedSecureMemory
     std::future<void> submitWrite(Addr block_index,
                                   const BlockData &data);
 
+    /**
+     * Enqueue one read-modify-write ORAM access: the future resolves
+     * to the block's old value, and when @p replace is non-null
+     * *replace (copied before the call returns) is stored in its
+     * place.  Either way it is a single protocol access, ordered FIFO
+     * with this shard's reads and writes, and the schedule recorder
+     * logs it as one constant kind (a write: every access rewrites
+     * its block), so whether it replaced anything is not visible.
+     */
+    std::future<BlockData> submitAccess(Addr block_index,
+                                        const BlockData *replace);
+
     /* ---- synchronous facade -------------------------------------- */
     BlockData readBlock(Addr block_index);
     void writeBlock(Addr block_index, const BlockData &data);
@@ -267,9 +280,12 @@ class ShardedSecureMemory
 
     /**
      * Observer hook for the INTERLEAVED schedule: every request a
-     * worker completes is recorded as (shard, is-write) in global
-     * completion order, which is exactly what an adversary watching
-     * the service frontend sees of the multi-threaded execution.  The
+     * worker serves is recorded as (shard, is-write) in global service
+     * order -- before its future resolves, so a client's follow-up
+     * request can never be logged ahead of it -- which is exactly
+     * what an adversary watching the service frontend sees of the
+     * multi-threaded execution.  submitAccess requests record as
+     * writes whether or not they replace the block.  The
      * concurrency-sound checker (verify::compareSchedules) compares
      * two such recordings.  Install before submitting traffic and
      * keep the recorder alive until shutdown(); nullptr detaches.
@@ -283,13 +299,23 @@ class ShardedSecureMemory
   private:
     struct Request
     {
+        enum class Kind : std::uint8_t
+        {
+            Read,
+            Write,
+            Access,
+        };
+
         Addr local = 0;
-        bool write = false;
+        Kind kind = Kind::Read;
+        bool replace = false; ///< Store `data` (Write, replacing Access).
         BlockData data{};
-        std::promise<BlockData> readDone;
-        std::promise<void> writeDone;
+        std::promise<BlockData> readDone; ///< Read and Access.
+        std::promise<void> writeDone;     ///< Write.
     };
 
+    /** Range-check @p block_index and queue @p r on its shard. */
+    void enqueue(Addr block_index, Request &&r, const char *what);
     void workerLoop(unsigned shard);
     void noteSubmitted(unsigned shard);
     void noteCompleted(std::size_t n);

@@ -212,7 +212,7 @@ struct ScheduleEvent
 {
     unsigned shard = 0;
     bool write = false;
-    /** Global completion order (assigned under the recorder lock). */
+    /** Global service order (assigned under the recorder lock). */
     std::uint64_t seq = 0;
 };
 

@@ -2,17 +2,20 @@
  * @file
  * The obliviousness deliverable of the KV layer: the externally
  * visible channel (per-shard bucket-store traces) and the interleaved
- * completion schedule must be indistinguishable across differing key
+ * service schedule must be indistinguishable across differing key
  * sets, value contents, hit/miss ratios, and even op types -- every
- * operation is blocksPerSlot reads of one uniform slot followed by
- * blocksPerSlot writes of another.  The deliberately leaky baseline
- * index (static slots, hit-length reads, no dummy work) is the
- * positive control: the same checkers must FAIL it.
+ * operation is blocksPerSlot read-modify-write accesses to one slot,
+ * striped so the op's shard sequence never depends on the slot.  The
+ * deliberately leaky baseline index (static slots, hit-length reads
+ * and writes, no dummy work) is the positive control: the same
+ * checkers must FAIL it.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -163,10 +166,38 @@ keyRange(const std::string &prefix, std::size_t n)
     return out;
 }
 
+/**
+ * Split a single client's schedule into per-op groups of B events and
+ * check each op's visible shape: exactly B events, all of the one
+ * access kind, with the shard multiset of block order 0..B-1 under
+ * the striped layout (block b on shard b mod N).  Within an op the
+ * cross-shard interleave is worker timing; the multiset is what a
+ * slot-dependent layout would change.
+ */
+void
+expectEveryOpShape(const std::vector<verify::ScheduleEvent> &events,
+                   std::size_t ops, unsigned B, unsigned shards)
+{
+    ASSERT_EQ(events.size(), ops * B);
+    std::map<unsigned, unsigned> expected;
+    for (unsigned b = 0; b < B; ++b)
+        ++expected[b % shards];
+    for (std::size_t op = 0; op < ops; ++op) {
+        std::map<unsigned, unsigned> seen;
+        for (unsigned j = 0; j < B; ++j) {
+            const verify::ScheduleEvent &e = events[op * B + j];
+            EXPECT_TRUE(e.write) << "op " << op << " position " << j;
+            ++seen[e.shard];
+        }
+        EXPECT_EQ(seen, expected) << "op " << op;
+    }
+}
+
 TEST(KvOblivious, EveryOpHasTheSameVisibleShape)
 {
-    // Hit get, miss get, insert, update, erase-hit, erase-miss, and a
-    // capacity-rejected insert: all exactly B reads then B writes.
+    // Hit get, miss get, update, a capacity-rejected insert, erase
+    // hit, erase miss, and an insert: each exactly B accesses of one
+    // kind, with the same shard sequence.
     ObliviousKVStore::Options opt =
         kvOptions(2, 4, /*seed=*/21, KvIndexMode::Oblivious);
     ObliviousKVStore store(opt);
@@ -188,15 +219,71 @@ TEST(KvOblivious, EveryOpHasTheSameVisibleShape)
     store.drain();
     store.service().setScheduleRecorder(nullptr);
 
-    const auto events = recorder.events();
-    ASSERT_EQ(events.size(), 7u * 2 * B);
-    for (std::size_t op = 0; op < 7; ++op) {
-        for (unsigned j = 0; j < 2 * B; ++j) {
-            const bool expect_write = j >= B;
-            EXPECT_EQ(events[op * 2 * B + j].write, expect_write)
-                << "op " << op << " position " << j;
-        }
+    expectEveryOpShape(recorder.events(), 7, B, 2);
+}
+
+TEST(KvOblivious, StripedSlotsHideSlotParity)
+{
+    // 2 shards x B = 3.  Laid out as consecutive blocks, slot s would
+    // sit on shards (0,1,0) for even s and (1,0,1) for odd s, so one
+    // op's shard multiset would leak its slot's parity.  Striped,
+    // every slot is (0,1,0): check it for every op kind, on keys in
+    // slots of both parities.
+    ObliviousKVStore store(
+        kvOptions(2, 8, /*seed=*/23, KvIndexMode::Oblivious));
+    const unsigned B = store.blocksPerSlot();
+    ASSERT_EQ(B, 3u);
+    verify::ScheduleRecorder recorder;
+    store.service().setScheduleRecorder(&recorder);
+
+    std::size_t ops = 0;
+    std::vector<std::string> keys;
+    for (int i = 0; i < 8; ++i) {
+        keys.push_back("k" + std::to_string(i));
+        store.put(keys.back(), "v" + std::to_string(i)); // Insert.
+        ++ops;
     }
+    EXPECT_THROW(store.put("full", "x"), KvStoreFullError);
+    ++ops;
+    for (const std::string &k : keys) {
+        (void)store.get(k);           // Hit.
+        (void)store.get("ghost" + k); // Miss.
+        store.put(k, "updated");      // Update.
+        ops += 3;
+    }
+    store.drain();
+    store.service().setScheduleRecorder(nullptr);
+    expectEveryOpShape(recorder.events(), ops, B, 2);
+
+    // Find each key's slot: block 0 of slot s is local block 2s of
+    // shard 0 (ceil(3/2) = 2 local blocks per slot), i.e. service
+    // block 4s, and it starts with the u16 key length and u32 value
+    // length, then the key.
+    std::set<std::uint64_t> parities;
+    for (std::uint64_t slot = 0; slot < store.slotCount(); ++slot) {
+        const BlockData b0 = store.service().readBlock(4 * slot);
+        const std::size_t key_len = b0[0] | (b0[1] << 8);
+        if (key_len == 0 || key_len > blockBytes - 6)
+            continue;
+        const std::string key(
+            reinterpret_cast<const char *>(b0.data()) + 6, key_len);
+        for (const std::string &k : keys)
+            if (k == key)
+                parities.insert(slot % 2);
+    }
+    EXPECT_EQ(parities.size(), 2u)
+        << "keys landed in slots of one parity only";
+
+    // Erase hits and erase misses on the same keys keep the shape.
+    recorder.clear();
+    store.service().setScheduleRecorder(&recorder);
+    for (const std::string &k : keys) {
+        EXPECT_TRUE(store.erase(k));
+        EXPECT_FALSE(store.erase(k));
+    }
+    store.drain();
+    store.service().setScheduleRecorder(nullptr);
+    expectEveryOpShape(recorder.events(), 2 * keys.size(), B, 2);
 }
 
 TEST(KvOblivious, HitMissRatioIsInvisible)

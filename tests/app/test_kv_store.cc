@@ -152,7 +152,9 @@ TEST(KvStore, StoreFullTypedErrorNoSilentEviction)
     (void)store.get("k0");
     store.drain();
     EXPECT_EQ(full_events, recorder.size());
-    EXPECT_EQ(recorder.size(), 2u * store.blocksPerSlot());
+    EXPECT_EQ(recorder.size(), store.blocksPerSlot());
+    for (const verify::ScheduleEvent &e : recorder.events())
+        EXPECT_TRUE(e.write) << "every access records as one kind";
     store.service().setScheduleRecorder(nullptr);
 
     // Nothing was evicted, nothing was inserted.
@@ -238,6 +240,62 @@ TEST(KvStore, RequestTimeoutPropagates)
     // completes. (The deadline stays armed, so allow generous time by
     // relaxing it for the verification read.)
     EXPECT_EQ(store.metrics().counter("kv.gets"), 0u);
+}
+
+TEST(KvStore, TimedOutOpsLandWholeAfterDrain)
+{
+    // A put's B in-place accesses stay queued after its wait times
+    // out, and per-shard FIFO lands all of them: after a drain a get
+    // returns the old value or the new one -- never a torn record --
+    // and no key mismatch is counted.  A timed-out insert and erase
+    // leave the store consistent too.
+    ObliviousKVStore::Options opt = kvOptions(2, 8);
+    opt.serve.queueCapacity = 4096;
+    opt.serve.maxBatch = 1;
+    opt.opDeadline = std::chrono::milliseconds(1);
+    ObliviousKVStore store(opt);
+    // The deadline stays armed, so retry any op that times out on an
+    // idle but busy host; a timed-out op lands all its accesses too.
+    auto settled = [&](auto op) {
+        for (int attempt = 0;; ++attempt) {
+            try {
+                return op();
+            } catch (const serve::RequestTimeoutError &) {
+                store.drain();
+                if (attempt == 100)
+                    throw;
+            }
+        }
+    };
+    const std::string old_value(150, 'o'), new_value(90, 'n');
+    settled([&] { store.put("victim", old_value); });
+    settled([&] { store.put("doomed", "bye"); });
+    store.drain();
+
+    std::vector<std::future<BlockData>> backlog;
+    backlog.reserve(4000);
+    for (int i = 0; i < 4000; ++i)
+        backlog.push_back(store.service().submitRead(i % 2));
+    EXPECT_THROW(store.put("victim", new_value),
+                 serve::RequestTimeoutError);
+    EXPECT_THROW(store.put("newcomer", "fresh"),
+                 serve::RequestTimeoutError);
+    EXPECT_THROW((void)store.erase("doomed"),
+                 serve::RequestTimeoutError);
+    for (auto &f : backlog)
+        (void)f.get();
+    store.drain();
+
+    const auto victim = settled([&] { return store.get("victim"); });
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_TRUE(*victim == old_value || *victim == new_value)
+        << "torn record: " << *victim;
+    const auto newcomer =
+        settled([&] { return store.get("newcomer"); });
+    EXPECT_TRUE(!newcomer.has_value() || *newcomer == "fresh");
+    EXPECT_FALSE(settled([&] { return store.get("doomed"); }));
+    EXPECT_EQ(store.metrics().counter("kv.key_mismatches"), 0u);
+    EXPECT_TRUE(store.integrityOk());
 }
 
 TEST(KvStore, ShardFailedPropagatesAndStoreStaysUp)

@@ -103,6 +103,29 @@ TEST(ShardFailure, SyncFacadeRethrowsShardFailed)
     EXPECT_EQ(mem.readBlock(0), stamp(0));
 }
 
+TEST(ShardFailure, SubmitAccessSurfacesShardFailed)
+{
+    ShardedSecureMemory mem(halfDeadOptions(11));
+    const BlockData d = stamp(4);
+    unsigned typed = 0;
+    for (std::uint64_t i = 0; i < 32; ++i) {
+        std::future<BlockData> live = mem.submitAccess(2 * i, &d);
+        std::future<BlockData> dead =
+            mem.submitAccess(2 * i + 1, i % 2 ? &d : nullptr);
+        EXPECT_NO_THROW(live.get());
+        try {
+            dead.get();
+        } catch (const ShardFailedError &e) {
+            EXPECT_EQ(e.shard(), 1u);
+            ++typed;
+        }
+    }
+    EXPECT_GT(typed, 0u) << "the lethal plan never fired";
+    ASSERT_EQ(mem.shardHealth(1), ShardHealth::Failed);
+    EXPECT_THROW(mem.submitAccess(1, nullptr).get(), ShardFailedError);
+    EXPECT_EQ(mem.submitAccess(0, nullptr).get(), d);
+}
+
 TEST(ShardFailure, HealthGaugesCountTheDead)
 {
     ShardedSecureMemory mem(halfDeadOptions(13));

@@ -1,10 +1,11 @@
 /**
  * @file
  * ShardedSecureMemory semantics: topology/capacity, read-your-writes
- * through the sync facade and the future API, cross-shard
- * byte-granular ops that straddle shard boundaries, backpressure
- * bounds, shutdown with in-flight requests, and the aggregated
- * serve.* metrics snapshot.
+ * through the sync facade and the future API, the read-modify-write
+ * submitAccess call, cross-shard byte-granular ops that straddle shard
+ * boundaries, backpressure bounds, shutdown with in-flight requests,
+ * service-order schedule recording, and the aggregated serve.*
+ * metrics snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include "serve/sharded_memory.hh"
 #include "util/rng.hh"
+#include "verify/leak_meter.hh"
 
 namespace secdimm::serve
 {
@@ -89,6 +91,94 @@ TEST(ShardedMemory, FutureApiResolvesInOrderPerShard)
         w.get();
     for (Addr a = 0; a < 16; ++a)
         EXPECT_EQ(reads[a].get()[1], static_cast<std::uint8_t>(a * 3));
+}
+
+BlockData
+stamp(std::uint64_t tag)
+{
+    BlockData d{};
+    for (std::size_t i = 0; i < 8; ++i)
+        d[i] = static_cast<std::uint8_t>(tag >> (8 * i));
+    d[63] = 0x5a;
+    return d;
+}
+
+TEST(ShardedMemory, SubmitAccessReturnsOldValueReplacesOnlyWithData)
+{
+    using P = core::SecureMemorySystem::Protocol;
+    for (auto proto : {P::PathOram, P::Freecursive, P::Independent,
+                       P::Split, P::IndepSplit}) {
+        SCOPED_TRACE(static_cast<int>(proto));
+        ShardedSecureMemory mem(smallOptions(2, proto));
+        // A never-written block reads as zeros, replaced or not.
+        EXPECT_EQ(mem.submitAccess(5, nullptr).get(), BlockData{});
+        const BlockData first = stamp(1);
+        EXPECT_EQ(mem.submitAccess(6, &first).get(), BlockData{});
+        EXPECT_EQ(mem.readBlock(6), first);
+
+        for (Addr a = 0; a < 8; ++a)
+            mem.writeBlock(a, stamp(a + 10));
+        for (Addr a = 0; a < 8; ++a) {
+            // Without data: returns the old value, stores nothing.
+            EXPECT_EQ(mem.submitAccess(a, nullptr).get(), stamp(a + 10));
+            // With data: returns the old value, stores the new one.
+            const BlockData next = stamp(a + 100);
+            EXPECT_EQ(mem.submitAccess(a, &next).get(), stamp(a + 10));
+        }
+        for (Addr a = 0; a < 8; ++a)
+            EXPECT_EQ(mem.readBlock(a), stamp(a + 100)) << "block " << a;
+        EXPECT_TRUE(mem.integrityOk());
+    }
+}
+
+TEST(ShardedMemory, SubmitAccessIsFifoWithReadsAndWritesPerShard)
+{
+    // Everything is queued before any future is awaited, so each
+    // result shows where the access ran in its shard's FIFO.
+    ShardedSecureMemory mem(smallOptions(2));
+    const BlockData v1 = stamp(1), v2 = stamp(2), v3 = stamp(3);
+    const Addr a = 3;
+    std::future<void> w1 = mem.submitWrite(a, v1);
+    std::future<BlockData> x1 = mem.submitAccess(a, &v2);
+    std::future<BlockData> r1 = mem.submitRead(a);
+    std::future<BlockData> x2 = mem.submitAccess(a, nullptr);
+    std::future<void> w2 = mem.submitWrite(a, v3);
+    std::future<BlockData> x3 = mem.submitAccess(a, nullptr);
+    std::future<BlockData> r2 = mem.submitRead(a);
+    w1.get();
+    EXPECT_EQ(x1.get(), v1);
+    EXPECT_EQ(r1.get(), v2);
+    EXPECT_EQ(x2.get(), v2);
+    w2.get();
+    EXPECT_EQ(x3.get(), v3);
+    EXPECT_EQ(r2.get(), v3);
+}
+
+TEST(ShardedMemory, ScheduleRecordsSubmitAccessAsOneKindInServiceOrder)
+{
+    ShardedSecureMemory mem(smallOptions(2));
+    verify::ScheduleRecorder recorder;
+    mem.setScheduleRecorder(&recorder);
+    const BlockData d = stamp(7);
+    std::size_t n = 0;
+    for (Addr a = 0; a < 16; ++a) {
+        // A resolved future means the request is already recorded.
+        mem.submitAccess(a, a % 3 == 0 ? &d : nullptr).get();
+        ASSERT_EQ(recorder.size(), ++n);
+    }
+    const auto events = recorder.events();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_TRUE(events[i].write) << "event " << i;
+        EXPECT_EQ(events[i].shard, mem.shardOf(i)) << "event " << i;
+    }
+    // Reads and writes record in service order too.
+    (void)mem.readBlock(1);
+    EXPECT_EQ(recorder.size(), ++n);
+    EXPECT_FALSE(recorder.events().back().write);
+    mem.writeBlock(2, d);
+    EXPECT_EQ(recorder.size(), ++n);
+    EXPECT_TRUE(recorder.events().back().write);
+    mem.setScheduleRecorder(nullptr);
 }
 
 TEST(ShardedMemory, CrossShardByteOpsStraddleBoundaries)
@@ -205,6 +295,7 @@ TEST(ShardedMemory, ShutdownWithInflightCompletesEverything)
         EXPECT_THROW(mem.submitRead(0), std::runtime_error);
         EXPECT_THROW(mem.submitWrite(0, BlockData{}),
                      std::runtime_error);
+        EXPECT_THROW(mem.submitAccess(0, nullptr), std::runtime_error);
         // Destructor runs with the futures still alive.
     }
     for (auto &w : writes)
