@@ -48,6 +48,19 @@ class BoundedMpscQueue
     bool
     push(T item)
     {
+        return push(std::move(item), [](T &) {});
+    }
+
+    /**
+     * push() that first calls @p stamp(item) under the queue lock,
+     * once the item is accepted: stamps taken this way follow the
+     * queue's FIFO order even with many producers.  A rejected item
+     * is never stamped.
+     */
+    template <typename Stamp>
+    bool
+    push(T item, Stamp &&stamp)
+    {
         std::unique_lock<std::mutex> lk(mu_);
         if (q_.size() >= capacity_ && !closed_) {
             ++pushStalls_;
@@ -62,6 +75,7 @@ class BoundedMpscQueue
         }
         if (closed_)
             return false;
+        stamp(item);
         q_.push_back(std::move(item));
         if (q_.size() > highWater_)
             highWater_ = q_.size();

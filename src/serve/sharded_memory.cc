@@ -114,7 +114,8 @@ ShardedSecureMemory::workerLoop(unsigned shard)
                         // Accesses record as writes, replacing or not.
                         if (rec != nullptr)
                             rec->record(shard,
-                                        r.kind != Request::Kind::Read);
+                                        r.kind != Request::Kind::Read,
+                                        r.ticket);
                         if (r.kind == Request::Kind::Write)
                             r.writeDone.set_value();
                         else
@@ -193,7 +194,10 @@ ShardedSecureMemory::enqueue(Addr block_index, Request &&r,
     const unsigned shard = shardOf(block_index);
     r.local = localBlock(block_index);
     noteSubmitted(shard);
-    if (!queues_[shard]->push(std::move(r))) {
+    const auto stamp_ticket = [this](Request &q) {
+        q.ticket = nextTicket_.fetch_add(1, std::memory_order_relaxed);
+    };
+    if (!queues_[shard]->push(std::move(r), stamp_ticket)) {
         noteCompleted(1);
         throw std::runtime_error(std::string("ShardedSecureMemory: ") +
                                  what + " after shutdown");

@@ -280,15 +280,23 @@ class ShardedSecureMemory
 
     /**
      * Observer hook for the INTERLEAVED schedule: every request a
-     * worker serves is recorded as (shard, is-write) in global service
-     * order -- before its future resolves, so a client's follow-up
-     * request can never be logged ahead of it -- which is exactly
-     * what an adversary watching the service frontend sees of the
-     * multi-threaded execution.  submitAccess requests record as
-     * writes whether or not they replace the block.  The
-     * concurrency-sound checker (verify::compareSchedules) compares
-     * two such recordings.  Install before submitting traffic and
-     * keep the recorder alive until shutdown(); nullptr detaches.
+     * worker serves is recorded as (shard, is-write, dispatch ticket)
+     * before its future resolves, so a resolved future is already
+     * recorded.  The ticket comes from one service-wide counter,
+     * taken under the shard queue's lock when the request is
+     * dispatched, so each shard's tickets follow its FIFO order.  The
+     * recorder places events globally in ticket (dispatch) order and
+     * keeps each shard's events in the order its worker served them:
+     * which shard serves each request, in the order requests arrive,
+     * is what the sharding shows an adversary.  The wall-clock order
+     * in which the OS runs the worker threads is the host
+     * scheduler's, not the design's, and is not recorded.
+     * submitAccess requests record as writes whether or not they
+     * replace the block.  The concurrency-sound checker
+     * (verify::compareSchedules) compares two such recordings.
+     * Install before submitting traffic and keep the recorder alive
+     * until shutdown(); nullptr detaches.  One recorder observes one
+     * service: two services' tickets would collide.
      */
     void
     setScheduleRecorder(verify::ScheduleRecorder *recorder)
@@ -307,6 +315,7 @@ class ShardedSecureMemory
         };
 
         Addr local = 0;
+        std::uint64_t ticket = 0; ///< Dispatch order (nextTicket_).
         Kind kind = Kind::Read;
         bool replace = false; ///< Store `data` (Write, replacing Access).
         BlockData data{};
@@ -348,6 +357,8 @@ class ShardedSecureMemory
     std::condition_variable idleCv_;
 
     std::atomic<verify::ScheduleRecorder *> scheduleRecorder_{nullptr};
+    /** Next dispatch ticket, taken under the target queue's lock. */
+    std::atomic<std::uint64_t> nextTicket_{0};
 
     std::atomic<bool> shutdown_{false};
     std::mutex shutdownMu_;

@@ -377,6 +377,39 @@ injectTimingLeak(std::vector<TraceEvent> events, std::uint64_t hot_lo,
 /* Concurrency-sound checking                                          */
 /* ------------------------------------------------------------------ */
 
+std::vector<ScheduleEvent>
+ScheduleRecorder::events() const
+{
+    std::vector<Served> served;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        served = served_;
+    }
+    // Hand each shard's served events, in service order, that shard's
+    // tickets in ascending order; then lay all events out by ticket.
+    unsigned shards = 0;
+    for (const Served &e : served)
+        shards = std::max(shards, e.shard + 1);
+    std::vector<std::vector<std::uint64_t>> tickets(shards);
+    for (const Served &e : served)
+        tickets[e.shard].push_back(e.ticket);
+    for (auto &t : tickets)
+        std::sort(t.begin(), t.end());
+    std::vector<std::size_t> next(shards, 0);
+    for (Served &e : served)
+        e.ticket = tickets[e.shard][next[e.shard]++];
+    std::stable_sort(served.begin(), served.end(),
+                     [](const Served &x, const Served &y) {
+                         return x.ticket < y.ticket;
+                     });
+
+    std::vector<ScheduleEvent> out;
+    out.reserve(served.size());
+    for (const Served &e : served)
+        out.push_back(ScheduleEvent{e.shard, e.write, out.size()});
+    return out;
+}
+
 std::vector<TraceEvent>
 scheduleToTrace(const std::vector<ScheduleEvent> &schedule)
 {

@@ -207,56 +207,84 @@ injectTimingLeak(std::vector<TraceEvent> events, std::uint64_t hot_lo,
 /* Concurrency-sound checking                                          */
 /* ------------------------------------------------------------------ */
 
-/** One processed request, as the shard workers interleaved them. */
+/** One served request, as an adversary at the service frontend sees it. */
 struct ScheduleEvent
 {
     unsigned shard = 0;
     bool write = false;
-    /** Global service order (assigned under the recorder lock). */
+    /**
+     * Global position, 0..n-1 in ScheduleRecorder::events() order:
+     * dispatch order for ticketed recordings (the serve layer's),
+     * record order for plain record(shard, write) calls.
+     */
     std::uint64_t seq = 0;
 };
 
 /**
  * Thread-safe sink for the serve layer's per-request observer hook
  * (ShardedSecureMemory::setScheduleRecorder).  Workers call record()
- * concurrently; tests read events() after drain()/shutdown().
+ * concurrently, each in its own service order; tests read events()
+ * after drain()/shutdown().
+ *
+ * events() reports the schedule the design shows, not the order in
+ * which the OS happened to run the worker threads:
+ *  - an event's GLOBAL position is a dispatch ticket: the k-th event
+ *    shard s served takes shard s's k-th smallest ticket, so the
+ *    global shard sequence is the dispatch order;
+ *  - each shard's subsequence stays in the order its worker served
+ *    it (the per-worker logical sequence number), which is what the
+ *    per-shard FIFO statistic of compareSchedules reads.
+ * record(shard, write) without a ticket takes the record index as its
+ * ticket, so such a recording comes back in record order.  Do not mix
+ * the two forms in one recording.
  */
 class ScheduleRecorder
 {
   public:
+    /** One request served by @p shard, dispatched at @p ticket. */
+    void
+    record(unsigned shard, bool write, std::uint64_t ticket)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        served_.push_back(Served{shard, write, ticket});
+    }
+
+    /** One request served by @p shard, positioned in record order. */
     void
     record(unsigned shard, bool write)
     {
         std::lock_guard<std::mutex> lk(mu_);
-        events_.push_back(
-            ScheduleEvent{shard, write,
-                          static_cast<std::uint64_t>(events_.size())});
+        served_.push_back(Served{shard, write, served_.size()});
     }
 
-    std::vector<ScheduleEvent>
-    events() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return events_;
-    }
+    /** The recorded schedule in global (ticket) order. */
+    std::vector<ScheduleEvent> events() const;
 
     std::size_t
     size() const
     {
         std::lock_guard<std::mutex> lk(mu_);
-        return events_.size();
+        return served_.size();
     }
 
     void
     clear()
     {
         std::lock_guard<std::mutex> lk(mu_);
-        events_.clear();
+        served_.clear();
     }
 
   private:
+    struct Served
+    {
+        unsigned shard;
+        bool write;
+        std::uint64_t ticket;
+    };
+
     mutable std::mutex mu_;
-    std::vector<ScheduleEvent> events_;
+    /** In record (per-shard service) order. */
+    std::vector<Served> served_;
 };
 
 /** Render a schedule as a trace (addr = shard id, at = seq). */

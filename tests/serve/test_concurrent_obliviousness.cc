@@ -4,11 +4,12 @@
  * under randomized submission schedules, (a) every shard's externally
  * visible trace stays indistinguishable between two workloads that
  * differ only in WHICH blocks they touch, and (b) the interleaved
- * completion schedule (verify::ScheduleRecorder via
- * ShardedSecureMemory::setScheduleRecorder) is itself
- * indistinguishable -- checked with the v2 statistics, which also
- * catch a deliberately shard-sorted (secret-revealing) schedule that
- * the marginal view cannot.
+ * schedule (verify::ScheduleRecorder via
+ * ShardedSecureMemory::setScheduleRecorder: dispatch order globally,
+ * service order per shard) is itself indistinguishable -- checked
+ * with the v2 statistics, which also catch a deliberately
+ * shard-sorted (secret-revealing) dispatch that the marginal view
+ * cannot.
  *
  * Workload construction: A and B draw the SAME per-request (shard,
  * kind) sequence from a shared seed but place their blocks in
@@ -78,7 +79,7 @@ struct RunResult
 /**
  * Drive one service instance: submit the skeleton (offset into one
  * half-region) in the order given by @p submit_order, fully async, and
- * collect per-shard traces plus the interleaved completion schedule.
+ * collect per-shard traces plus the interleaved schedule.
  */
 RunResult
 runWorkload(const ShardedSecureMemory::Options &opt,
@@ -236,12 +237,9 @@ TEST(ConcurrentObliviousness, WithinShardKindSortingIsCaught)
     // Positive control: a frontend that reorders each shard's queue
     // by a secret-correlated criterion -- here, all writes before all
     // reads.  The global position of every request (and thus the
-    // scheduler-noise interleaving, shard occupancy, and kind mix) is
+    // global shard sequence, shard occupancy, and kind mix) is
     // untouched, so the marginal view is IDENTICAL; only the
-    // shard-local FIFO-order statistic can flag it.  Built on the
-    // per-shard subsequence precisely so the check stays sound on a
-    // single-core host, where worker preemption makes the GLOBAL
-    // completion order blocky for honest and leaky runs alike.
+    // shard-local FIFO-order statistic can flag it.
     const ShardedSecureMemory::Options opt =
         serveOptions(Protocol::PathOram, 4);
     const Addr offset = alignedHalf(opt);
@@ -279,6 +277,45 @@ TEST(ConcurrentObliviousness, WithinShardKindSortingIsCaught)
         << sc.marginal.summary();
     EXPECT_FALSE(sc.pass) << sc.summary();
     EXPECT_FALSE(sc.perShardPass) << sc.summary();
+}
+
+TEST(ConcurrentObliviousness, ShardSortedDispatchIsCaught)
+{
+    // Positive control for the global order: a frontend that sorts
+    // each window of 8 submissions by shard -- the batch scheduler
+    // that groups requests by (secret-dependent) destination.  Every
+    // request still goes to the same shard with the same kind, so
+    // the marginal view is identical; only the global shard-order
+    // ACF of the recorded dispatch order can flag it.
+    const ShardedSecureMemory::Options opt =
+        serveOptions(Protocol::PathOram, 2);
+    const Addr offset = alignedHalf(opt);
+    const std::vector<Op> ops = workloadSkeleton(404, 600, offset);
+
+    const std::vector<std::size_t> honest_order =
+        shuffledOrder(ops.size(), 31);
+    std::vector<std::size_t> leaky_order = honest_order;
+    {
+        ShardedSecureMemory probe(opt);
+        const auto by_shard = [&](std::size_t x, std::size_t y) {
+            return probe.shardOf(ops[x].base) < probe.shardOf(ops[y].base);
+        };
+        for (std::size_t w = 0; w < leaky_order.size(); w += 8) {
+            const std::size_t end = std::min(w + 8, leaky_order.size());
+            std::stable_sort(leaky_order.begin() + w,
+                             leaky_order.begin() + end, by_shard);
+        }
+    }
+    const RunResult leaky = runWorkload(opt, ops, 0, leaky_order);
+    const RunResult honest = runWorkload(opt, ops, offset, honest_order);
+
+    const verify::ScheduleComparison sc =
+        verify::compareSchedules(leaky.schedule, honest.schedule);
+    EXPECT_TRUE(sc.marginal.indistinguishable)
+        << "control must preserve the marginal view: "
+        << sc.marginal.summary();
+    EXPECT_FALSE(sc.ordering.pass) << sc.summary();
+    EXPECT_FALSE(sc.pass) << sc.summary();
 }
 
 TEST(ConcurrentObliviousness, RecorderDetachStopsRecording)

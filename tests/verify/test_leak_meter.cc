@@ -292,6 +292,52 @@ TEST(Schedules, RecorderAssignsGlobalSeq)
     EXPECT_EQ(rec.size(), 0u);
 }
 
+TEST(Schedules, RecorderOrdersTicketedEventsByTicket)
+{
+    // Workers record concurrently, so events arrive out of dispatch
+    // order across shards; events() lays them out by ticket.
+    ScheduleRecorder rec;
+    rec.record(1, true, 3);
+    rec.record(1, false, 5);
+    rec.record(0, false, 0);
+    rec.record(2, false, 2);
+    rec.record(0, true, 1);
+    rec.record(2, true, 4);
+    const auto ev = rec.events();
+    ASSERT_EQ(ev.size(), 6u);
+    const unsigned shards[] = {0, 0, 2, 1, 2, 1};
+    const bool writes[] = {false, true, false, true, true, false};
+    for (std::size_t i = 0; i < ev.size(); ++i) {
+        EXPECT_EQ(ev[i].shard, shards[i]) << "position " << i;
+        EXPECT_EQ(ev[i].write, writes[i]) << "position " << i;
+        EXPECT_EQ(ev[i].seq, i);
+    }
+}
+
+TEST(Schedules, RecorderKeepsEachShardInServiceOrder)
+{
+    // Shard 0's worker serves its tickets 1, 3, 6 as 6, 1, 3 (write,
+    // read, read).  The global positions stay the dispatch tickets,
+    // but shard 0's kind subsequence is what its worker did: the k-th
+    // event it served takes its k-th smallest ticket.
+    ScheduleRecorder rec;
+    rec.record(0, true, 6);
+    rec.record(1, false, 0);
+    rec.record(0, false, 1);
+    rec.record(1, true, 2);
+    rec.record(0, false, 3);
+    rec.record(1, true, 4);
+    rec.record(1, false, 5);
+    const auto ev = rec.events();
+    ASSERT_EQ(ev.size(), 7u);
+    const unsigned shards[] = {1, 0, 1, 0, 1, 1, 0};
+    const bool writes[] = {false, true, true, false, true, false, false};
+    for (std::size_t i = 0; i < ev.size(); ++i) {
+        EXPECT_EQ(ev[i].shard, shards[i]) << "position " << i;
+        EXPECT_EQ(ev[i].write, writes[i]) << "position " << i;
+    }
+}
+
 TEST(Schedules, TraceRenderingMapsShardToAddr)
 {
     std::vector<ScheduleEvent> s{{3, false, 0}, {1, true, 1}};
