@@ -1,7 +1,9 @@
 #include "sdimm/split_oram.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <stdexcept>
 #include <sstream>
 #include <unordered_set>
 
@@ -15,48 +17,57 @@ namespace secdimm::sdimm
 namespace
 {
 
-/** Metadata plaintext for up to Z (addr, leaf) pairs. */
-std::vector<std::uint8_t>
-buildMeta(unsigned z,
-          const std::vector<std::pair<Addr, LeafId>> &blocks)
+/** Write (addr, leaf) into slot @p i of a bucket's metadata. */
+void
+putMeta(std::span<std::uint8_t> meta, std::size_t i, Addr a, LeafId l)
 {
-    std::vector<std::uint8_t> meta(static_cast<std::size_t>(z) * 16);
-    for (unsigned i = 0; i < z; ++i) {
-        Addr a = invalidAddr;
-        LeafId l = invalidLeaf;
-        if (i < blocks.size()) {
-            a = blocks[i].first;
-            l = blocks[i].second;
-        }
-        std::memcpy(meta.data() + 16 * i, &a, 8);
-        std::memcpy(meta.data() + 16 * i + 8, &l, 8);
-    }
-    return meta;
+    std::memcpy(meta.data() + 16 * i, &a, 8);
+    std::memcpy(meta.data() + 16 * i + 8, &l, 8);
+}
+
+/** Bounds-checked (under _GLIBCXX_ASSERTIONS) window of an arena. */
+template <typename Arena>
+auto
+window(Arena &arena, std::size_t offset, std::size_t len)
+{
+    return std::span(arena).subspan(offset, len);
+}
+
+/** MAC identity of slice @p j of bucket @p seq. */
+std::uint64_t
+sliceId(std::uint64_t seq, unsigned j)
+{
+    return seq | (static_cast<std::uint64_t>(j) << 56);
+}
+
+/** Path ORAM eviction depth: the deepest level at which the paths to
+ *  leaves @p a and @p b still share a bucket. */
+int
+deepestShared(LeafId a, LeafId b, unsigned levels)
+{
+    return static_cast<int>(levels) -
+           static_cast<int>(std::bit_width(a ^ b));
 }
 
 } // namespace
 
-std::vector<std::uint8_t>
-extractShare(const std::vector<std::uint8_t> &full, unsigned slice,
-             unsigned s)
+void
+extractShare(std::span<const std::uint8_t> full, unsigned slice,
+             unsigned s, std::span<std::uint8_t> share)
 {
-    std::vector<std::uint8_t> share;
-    share.reserve(full.size() / s + 1);
-    for (std::size_t i = slice; i < full.size(); i += s)
-        share.push_back(full[i]);
-    return share;
+    SD_ASSERT(share.size() == shareBytes(full.size(), slice, s));
+    for (std::size_t k = 0, i = slice; k < share.size(); ++k, i += s)
+        share[k] = full[i];
 }
 
 void
-mergeShare(std::vector<std::uint8_t> &full,
-           const std::vector<std::uint8_t> &share, unsigned slice,
+mergeShare(std::span<std::uint8_t> full,
+           std::span<const std::uint8_t> share, unsigned slice,
            unsigned s)
 {
-    std::size_t k = 0;
-    for (std::size_t i = slice; i < full.size() && k < share.size();
-         i += s, ++k) {
+    SD_ASSERT(share.size() == shareBytes(full.size(), slice, s));
+    for (std::size_t k = 0, i = slice; k < share.size(); ++k, i += s)
         full[i] = share[k];
-    }
 }
 
 SplitOram::SplitOram(const Params &params, std::uint64_t seed)
@@ -68,48 +79,63 @@ SplitOram::SplitOram(const Params &params, std::uint64_t seed)
       slices_(params.slices),
       posMap_(params.tree.capacityBlocks())
 {
-    SD_ASSERT(params_.slices >= 1);
-    SD_ASSERT(blockBytes % params_.slices == 0);
-    const std::uint64_t buckets = params_.tree.numBuckets();
+    const unsigned s = params_.slices;
     const unsigned z = params_.tree.bucketBlocks;
+    SD_ASSERT(s >= 1);
+    SD_ASSERT(blockBytes % s == 0);
+    SD_ASSERT((static_cast<std::size_t>(z) * 16) % s == 0);
+    const std::uint64_t buckets = params_.tree.numBuckets();
+    metaShareBytes_ = static_cast<std::size_t>(z) * 16 / s;
+    dataShareBytes_ = blockBytes / s;
+    bucketShareBytes_ = metaShareBytes_ + z * dataShareBytes_;
+
+    const std::size_t path_len = params_.tree.levels + 1;
+    path_.resize(path_len);
+    macOk_ = std::make_unique<bool[]>(path_len * s);
+    metaBuf_.resize(static_cast<std::size_t>(z) * 16);
+    macScratch_.resize(bucketShareBytes_);
 
     for (auto &leaf : posMap_)
         leaf = rng_.nextBelow(params_.tree.numLeaves());
 
+    // Initialize every bucket empty (counter 1).
+    const std::uint64_t ctr = 1;
     for (auto &sl : slices_) {
-        sl.metaShare.resize(buckets);
-        sl.dataShare.resize(buckets);
-        sl.counter.assign(buckets, 0);
+        sl.tree.resize(buckets * bucketShareBytes_);
+        sl.counter.assign(buckets, ctr);
         sl.mac.assign(buckets, 0);
-        for (auto &d : sl.dataShare)
-            d.resize(z);
     }
-
-    // Initialize every bucket empty.
-    const std::vector<std::uint8_t> meta_plain = buildMeta(z, {});
-    const std::vector<std::uint8_t> zero_block(blockBytes, 0);
     for (std::uint64_t seq = 0; seq < buckets; ++seq) {
-        const std::uint64_t ctr = 1;
-        std::vector<std::uint8_t> meta_cipher = meta_plain;
-        cipher_.transformBuffer(meta_cipher.data(), meta_cipher.size(),
+        for (unsigned slot = 0; slot < z; ++slot)
+            putMeta(metaBuf_, slot, invalidAddr, invalidLeaf);
+        cipher_.transformBuffer(metaBuf_.data(), metaBuf_.size(),
                                 metaNonce(seq), ctr);
-        std::vector<std::vector<std::uint8_t>> slot_cipher(z);
-        for (unsigned s = 0; s < z; ++s) {
-            slot_cipher[s] = zero_block;
-            cipher_.transformBuffer(slot_cipher[s].data(), blockBytes,
-                                    dataNonce(seq, s), ctr);
+        for (unsigned j = 0; j < s; ++j) {
+            extractShare(metaBuf_, j, s,
+                         window(slices_[j].tree, metaOffset(seq),
+                                metaShareBytes_));
         }
-        for (unsigned j = 0; j < params_.slices; ++j) {
-            Slice &sl = slices_[j];
-            sl.metaShare[seq] =
-                extractShare(meta_cipher, j, params_.slices);
-            for (unsigned s = 0; s < z; ++s) {
-                sl.dataShare[seq][s] =
-                    extractShare(slot_cipher[s], j, params_.slices);
+        for (unsigned slot = 0; slot < z; ++slot) {
+            BlockData zero{};
+            cipher_.transformBuffer(zero.data(), blockBytes,
+                                    dataNonce(seq, slot), ctr);
+            for (unsigned j = 0; j < s; ++j) {
+                extractShare(zero, j, s,
+                             window(slices_[j].tree, dataOffset(seq, slot),
+                                    dataShareBytes_));
             }
-            sl.counter[seq] = ctr;
-            sl.mac[seq] = sliceMac(j, seq, sl);
         }
+    }
+    // Tag the fresh tree in 256-bucket batches: one batch per chunk
+    // keeps the batch scratch small even for million-bucket trees.
+    constexpr std::uint64_t kTagChunk = 256;
+    std::vector<std::uint64_t> chunk;
+    for (std::uint64_t first = 0; first < buckets; first += kTagChunk) {
+        chunk.clear();
+        for (std::uint64_t seq = first;
+             seq < std::min(buckets, first + kTagChunk); ++seq)
+            chunk.push_back(seq);
+        tagBuckets(chunk);
     }
 }
 
@@ -125,53 +151,57 @@ SplitOram::dataNonce(std::uint64_t seq, unsigned slot) const
     return (seq << 6) | slot | (std::uint64_t{1} << 61);
 }
 
-std::vector<std::uint8_t>
-SplitOram::ctrPad(std::uint64_t nonce, std::uint64_t counter,
-                  std::size_t len) const
+void
+SplitOram::loadPath(LeafId leaf)
 {
-    std::vector<std::uint8_t> pad(len, 0);
-    cipher_.transformBuffer(pad.data(), len, nonce, counter);
-    return pad;
-}
-
-std::size_t
-SplitOram::gatherSlice(const Slice &sl, std::uint64_t seq) const
-{
-    std::size_t total = sl.metaShare[seq].size();
-    for (const auto &share : sl.dataShare[seq])
-        total += share.size();
-    macScratch_.resize(total);
-    std::uint8_t *dst = macScratch_.data();
-    std::memcpy(dst, sl.metaShare[seq].data(), sl.metaShare[seq].size());
-    dst += sl.metaShare[seq].size();
-    for (const auto &share : sl.dataShare[seq]) {
-        std::memcpy(dst, share.data(), share.size());
-        dst += share.size();
+    for (unsigned level = 0; level <= params_.tree.levels; ++level) {
+        path_[level] = layout_.bucketSeq(
+            oram::pathBucket(leaf, level, params_.tree.levels));
     }
-    return total;
 }
 
-crypto::Tag64
-SplitOram::sliceMac(unsigned slice, std::uint64_t seq,
-                    const Slice &sl) const
+void
+SplitOram::stageSliceMacs(std::span<const std::uint64_t> seqs)
 {
-    const std::size_t total = gatherSlice(sl, seq);
-    const std::uint64_t id =
-        seq | (static_cast<std::uint64_t>(slice) << 56);
-    return mac_.tag(id, sl.counter[seq], macScratch_.data(), total);
+    const unsigned s = params_.slices;
+    macItems_.resize(seqs.size() * s);
+    for (std::size_t b = 0; b < seqs.size(); ++b) {
+        for (unsigned j = 0; j < s; ++j) {
+            const Slice &sl = slices_[j];
+            macItems_[b * s + j] = crypto::PmmacItem{
+                sliceId(seqs[b], j), sl.counter[seqs[b]],
+                window(sl.tree, metaOffset(seqs[b]), bucketShareBytes_)
+                    .data(),
+                bucketShareBytes_};
+        }
+    }
+}
+
+void
+SplitOram::tagBuckets(std::span<const std::uint64_t> seqs)
+{
+    const unsigned s = params_.slices;
+    stageSliceMacs(seqs);
+    macTags_.resize(macItems_.size());
+    mac_.tagBatch(macItems_.data(), macItems_.size(), macTags_.data());
+    for (std::size_t i = 0; i < macItems_.size(); ++i)
+        slices_[i % s].mac[seqs[i / s]] = macTags_[i];
 }
 
 bool
-SplitOram::fetchAndVerifySlice(unsigned j, std::uint64_t seq) const
+SplitOram::fetchAndVerifySlice(unsigned j, std::uint64_t seq,
+                               bool stored_ok)
 {
+    if (!injector_ || !injector_->rollDramBitFlip())
+        return stored_ok;
     const Slice &sl = slices_[j];
-    const std::size_t total = gatherSlice(sl, seq);
-    if (injector_ && injector_->rollDramBitFlip())
-        injector_->corruptBuffer(macScratch_.data(), total);
-    const std::uint64_t id =
-        seq | (static_cast<std::uint64_t>(j) << 56);
-    return mac_.tag(id, sl.counter[seq], macScratch_.data(), total) ==
-           sl.mac[seq];
+    const auto image =
+        window(sl.tree, metaOffset(seq), bucketShareBytes_);
+    std::copy(image.begin(), image.end(), macScratch_.begin());
+    injector_->corruptBuffer(macScratch_.data(), macScratch_.size());
+    return mac_.verify(sliceId(seq, j), sl.counter[seq],
+                       macScratch_.data(), macScratch_.size(),
+                       sl.mac[seq]);
 }
 
 void
@@ -210,14 +240,19 @@ SplitOram::transferChannel(std::size_t bytes, const char *site)
 std::size_t
 SplitOram::allocStashSlot()
 {
+    std::size_t idx;
     if (!freeSlots_.empty()) {
-        const std::size_t idx = freeSlots_.back();
+        idx = freeSlots_.back();
         freeSlots_.pop_back();
-        return idx;
+    } else {
+        idx = stashSlots_++;
+        for (auto &sl : slices_) {
+            sl.stash.resize(stashSlots_ * dataShareBytes_);
+            sl.held.resize(stashSlots_);
+        }
     }
-    const std::size_t idx = stashSlots_++;
     for (auto &sl : slices_)
-        sl.stash.resize(stashSlots_);
+        sl.held[idx] = true;
     return idx;
 }
 
@@ -225,7 +260,7 @@ void
 SplitOram::freeStashSlot(std::size_t idx)
 {
     for (auto &sl : slices_)
-        sl.stash[idx].reset();
+        sl.held[idx] = false;
     freeSlots_.push_back(idx);
 }
 
@@ -233,16 +268,29 @@ void
 SplitOram::readPath(LeafId leaf)
 {
     const unsigned z = params_.tree.bucketBlocks;
+    const unsigned s = params_.slices;
+    loadPath(leaf);
+
+    // Every SDIMM checks the stored slice MACs of the whole path in
+    // one batched pass; the per-slice FETCH_DATA below then only
+    // re-checks an image that was bit-flipped in flight.
+    stageSliceMacs(path_);
+    macTags_.resize(macItems_.size());
+    for (std::size_t i = 0; i < macItems_.size(); ++i)
+        macTags_[i] = slices_[i % s].mac[path_[i / s]];
+    mac_.verifyBatch(macItems_.data(), macItems_.size(), macTags_.data(),
+                     macOk_.get());
+
     for (unsigned level = 0; level <= params_.tree.levels; ++level) {
-        const std::uint64_t seq = layout_.bucketSeq(
-            oram::pathBucket(leaf, level, params_.tree.levels));
+        const std::uint64_t seq = path_[level];
 
         // Each SDIMM verifies its slice MAC (FETCH_DATA step).  With
         // an injector armed the fetched image may carry a transient
         // bit flip; the MAC catches it and the slice is re-fetched
         // from the (intact) stored share up to the retry budget.
-        for (unsigned j = 0; j < params_.slices; ++j) {
-            bool ok = fetchAndVerifySlice(j, seq);
+        for (unsigned j = 0; j < s; ++j) {
+            const bool stored_ok = macOk_[level * s + j];
+            bool ok = fetchAndVerifySlice(j, seq, stored_ok);
             if (injector_ && !ok) {
                 // Same ledger convention as transferChannel(): one
                 // detection per failed verify, one recovery per
@@ -262,7 +310,7 @@ SplitOram::readPath(LeafId leaf)
                     injector_->recordRecovered(
                         fault::FaultKind::DramBitFlip,
                         "split.fetch_data", 1);
-                    ok = fetchAndVerifySlice(j, seq);
+                    ok = fetchAndVerifySlice(j, seq, stored_ok);
                     if (ok)
                         break;
                 }
@@ -273,34 +321,37 @@ SplitOram::readPath(LeafId leaf)
 
         // Reassemble counter and metadata at the CPU.
         const std::uint64_t ctr = slices_[0].counter[seq];
-        for (unsigned j = 1; j < params_.slices; ++j)
+        for (unsigned j = 1; j < s; ++j)
             SD_ASSERT(slices_[j].counter[seq] == ctr);
 
-        std::vector<std::uint8_t> meta_cipher(
-            static_cast<std::size_t>(z) * 16, 0);
-        for (unsigned j = 0; j < params_.slices; ++j) {
-            mergeShare(meta_cipher, slices_[j].metaShare[seq], j,
-                       params_.slices);
+        for (unsigned j = 0; j < s; ++j) {
+            mergeShare(metaBuf_,
+                       window(slices_[j].tree, metaOffset(seq),
+                              metaShareBytes_),
+                       j, s);
         }
-        transferChannel(meta_cipher.size() + 8,
+        transferChannel(metaBuf_.size() + 8,
                         "split.fetch_data.meta"); // meta + ctr.
-        cipher_.transformBuffer(meta_cipher.data(), meta_cipher.size(),
+        cipher_.transformBuffer(metaBuf_.data(), metaBuf_.size(),
                                 metaNonce(seq), ctr);
 
         // Data pieces move into the slice stashes (local traffic).
         for (unsigned slot = 0; slot < z; ++slot) {
             Addr a;
             LeafId l;
-            std::memcpy(&a, meta_cipher.data() + 16 * slot, 8);
-            std::memcpy(&l, meta_cipher.data() + 16 * slot + 8, 8);
+            std::memcpy(&a, metaBuf_.data() + 16 * slot, 8);
+            std::memcpy(&l, metaBuf_.data() + 16 * slot + 8, 8);
             if (a == invalidAddr)
                 continue;
             SD_ASSERT(shadow_.find(a) == shadow_.end());
             const std::size_t idx = allocStashSlot();
-            for (unsigned j = 0; j < params_.slices; ++j) {
-                Slice &sl = slices_[j];
-                sl.stash[idx] = SlicePiece{sl.dataShare[seq][slot], seq,
-                                           slot, ctr};
+            for (auto &sl : slices_) {
+                const auto src =
+                    window(sl.tree, dataOffset(seq, slot), dataShareBytes_);
+                std::copy(src.begin(), src.end(),
+                          window(sl.stash, idx * dataShareBytes_,
+                                 dataShareBytes_)
+                              .begin());
             }
             stats_.localBytes += blockBytes;
             ShadowEntry e;
@@ -321,18 +372,18 @@ BlockData
 SplitOram::fetchStash(const ShadowEntry &e)
 {
     SD_ASSERT(!e.cpuResident);
-    std::vector<std::uint8_t> merged(blockBytes, 0);
+    BlockData out{};
     for (unsigned j = 0; j < params_.slices; ++j) {
-        const auto &piece = slices_[j].stash[e.stashIdx];
-        SD_ASSERT(piece.has_value());
-        mergeShare(merged, piece->cipher, j, params_.slices);
+        const Slice &sl = slices_[j];
+        SD_ASSERT(sl.held[e.stashIdx]);
+        mergeShare(out,
+                   window(sl.stash, e.stashIdx * dataShareBytes_,
+                          dataShareBytes_),
+                   j, params_.slices);
     }
     transferChannel(blockBytes, "split.fetch_stash");
-    cipher_.transformBuffer(merged.data(), merged.size(),
-                            dataNonce(e.srcSeq, e.srcSlot),
-                            e.srcCounter);
-    BlockData out{};
-    std::memcpy(out.data(), merged.data(), blockBytes);
+    cipher_.transformBuffer(out.data(), blockBytes,
+                            dataNonce(e.srcSeq, e.srcSlot), e.srcCounter);
     return out;
 }
 
@@ -340,100 +391,107 @@ void
 SplitOram::writePath(LeafId leaf)
 {
     const unsigned z = params_.tree.bucketBlocks;
+    const unsigned s = params_.slices;
     const unsigned L = params_.tree.levels;
+    loadPath(leaf);
+
+    // One pass over the shadow stash records each entry's deepest
+    // eligible level, in iteration order: picking the first Z
+    // candidates at each level then matches a per-level scan of
+    // shadow_ (erasing an entry never reorders the others).
+    evictOrder_.clear();
+    for (auto it = shadow_.begin(); it != shadow_.end(); ++it)
+        evictOrder_.push_back({it, deepestShared(it->second.leaf, leaf, L)});
 
     for (int level = static_cast<int>(L); level >= 0; --level) {
-        const unsigned shift = L - static_cast<unsigned>(level);
-        const std::uint64_t bucket_index = leaf >> shift;
-        const std::uint64_t seq = layout_.bucketSeq(oram::pathBucket(
-            leaf, static_cast<unsigned>(level), L));
+        const std::uint64_t seq = path_[static_cast<unsigned>(level)];
 
         // CPU: pick up to Z compatible shadow-stash blocks.
-        std::vector<std::pair<Addr, ShadowEntry>> chosen;
-        for (auto it = shadow_.begin();
-             it != shadow_.end() && chosen.size() < z;) {
-            if ((it->second.leaf >> shift) == bucket_index) {
-                chosen.emplace_back(it->first, it->second);
-                it = shadow_.erase(it);
-            } else {
-                ++it;
-            }
+        chosen_.clear();
+        for (auto &c : evictOrder_) {
+            if (chosen_.size() == z)
+                break;
+            if (c.deepest < level)
+                continue;
+            chosen_.emplace_back(c.it->first, c.it->second);
+            shadow_.erase(c.it);
+            c.deepest = -1;
         }
 
         const std::uint64_t new_ctr = slices_[0].counter[seq] + 1;
 
         // CPU composes the new metadata and sends it in RECEIVE_LIST.
-        std::vector<std::pair<Addr, LeafId>> meta_blocks;
-        for (const auto &kv : chosen)
-            meta_blocks.emplace_back(kv.first, kv.second.leaf);
-        std::vector<std::uint8_t> meta_cipher =
-            buildMeta(z, meta_blocks);
-        transferChannel(meta_cipher.size() + 8 + 4 * z,
-                        "split.receive_list");
-        cipher_.transformBuffer(meta_cipher.data(), meta_cipher.size(),
+        for (unsigned slot = 0; slot < z; ++slot) {
+            if (slot < chosen_.size())
+                putMeta(metaBuf_, slot, chosen_[slot].first,
+                        chosen_[slot].second.leaf);
+            else
+                putMeta(metaBuf_, slot, invalidAddr, invalidLeaf);
+        }
+        transferChannel(metaBuf_.size() + 8 + 4 * z, "split.receive_list");
+        cipher_.transformBuffer(metaBuf_.data(), metaBuf_.size(),
                                 metaNonce(seq), new_ctr);
 
         // Fill the bucket's data slots slice by slice.
         for (unsigned slot = 0; slot < z; ++slot) {
-            if (slot < chosen.size() && chosen[slot].second.cpuResident) {
-                // CPU-resident block: the CPU encrypts for the
-                // destination and ships each slice its share.
-                const ShadowEntry &e = chosen[slot].second;
-                std::vector<std::uint8_t> full(
-                    e.data.begin(), e.data.end());
-                cipher_.transformBuffer(full.data(), full.size(),
-                                        dataNonce(seq, slot), new_ctr);
-                transferChannel(blockBytes, "split.receive_list");
-                for (unsigned j = 0; j < params_.slices; ++j) {
-                    slices_[j].dataShare[seq][slot] =
-                        extractShare(full, j, params_.slices);
-                }
-            } else if (slot < chosen.size()) {
+            if (slot < chosen_.size() && !chosen_[slot].second.cpuResident) {
                 // Piece-resident block: each SDIMM re-encrypts its
                 // share locally (old pad out, new pad in).
-                const ShadowEntry &e = chosen[slot].second;
-                const auto old_pad =
-                    ctrPad(dataNonce(e.srcSeq, e.srcSlot), e.srcCounter,
-                           blockBytes);
-                const auto new_pad =
-                    ctrPad(dataNonce(seq, slot), new_ctr, blockBytes);
-                for (unsigned j = 0; j < params_.slices; ++j) {
+                const ShadowEntry &e = chosen_[slot].second;
+                BlockData old_pad{}, new_pad{};
+                cipher_.transformBuffer(old_pad.data(), blockBytes,
+                                        dataNonce(e.srcSeq, e.srcSlot),
+                                        e.srcCounter);
+                cipher_.transformBuffer(new_pad.data(), blockBytes,
+                                        dataNonce(seq, slot), new_ctr);
+                for (unsigned j = 0; j < s; ++j) {
                     Slice &sl = slices_[j];
-                    const auto &piece = sl.stash[e.stashIdx];
-                    SD_ASSERT(piece.has_value());
-                    std::vector<std::uint8_t> share = piece->cipher;
+                    SD_ASSERT(sl.held[e.stashIdx]);
+                    const auto piece =
+                        window(sl.stash, e.stashIdx * dataShareBytes_,
+                               dataShareBytes_);
+                    const auto share = window(
+                        sl.tree, dataOffset(seq, slot), dataShareBytes_);
                     for (std::size_t k = 0; k < share.size(); ++k) {
-                        const std::size_t gi = j + params_.slices * k;
+                        const std::size_t gi = j + s * k;
                         share[k] = static_cast<std::uint8_t>(
-                            share[k] ^ old_pad[gi] ^ new_pad[gi]);
+                            piece[k] ^ old_pad[gi] ^ new_pad[gi]);
                     }
-                    sl.dataShare[seq][slot] = std::move(share);
                 }
                 stats_.localBytes += blockBytes;
                 freeStashSlot(e.stashIdx);
-            } else {
-                // Dummy slot: each SDIMM writes its share of an
-                // encrypted zero block.
-                std::vector<std::uint8_t> zero(blockBytes, 0);
-                cipher_.transformBuffer(zero.data(), zero.size(),
-                                        dataNonce(seq, slot), new_ctr);
-                for (unsigned j = 0; j < params_.slices; ++j) {
-                    slices_[j].dataShare[seq][slot] =
-                        extractShare(zero, j, params_.slices);
-                }
+                continue;
+            }
+            // CPU-resident block: the CPU encrypts for the destination
+            // and ships each slice its share.  Dummy slot: each SDIMM
+            // writes its share of an encrypted zero block.
+            const bool real = slot < chosen_.size();
+            BlockData full{};
+            if (real)
+                full = chosen_[slot].second.data;
+            cipher_.transformBuffer(full.data(), blockBytes,
+                                    dataNonce(seq, slot), new_ctr);
+            if (real)
+                transferChannel(blockBytes, "split.receive_list");
+            else
                 stats_.localBytes += blockBytes;
+            for (unsigned j = 0; j < s; ++j) {
+                extractShare(full, j, s,
+                             window(slices_[j].tree, dataOffset(seq, slot),
+                                    dataShareBytes_));
             }
         }
 
-        // Commit metadata, counter, and fresh slice MACs.
-        for (unsigned j = 0; j < params_.slices; ++j) {
+        // Commit metadata and counter; the slice MACs follow for the
+        // whole path at once.
+        for (unsigned j = 0; j < s; ++j) {
             Slice &sl = slices_[j];
-            sl.metaShare[seq] =
-                extractShare(meta_cipher, j, params_.slices);
+            extractShare(metaBuf_, j, s,
+                         window(sl.tree, metaOffset(seq), metaShareBytes_));
             sl.counter[seq] = new_ctr;
-            sl.mac[seq] = sliceMac(j, seq, sl);
         }
     }
+    tagBuckets(path_);
 }
 
 BlockData
@@ -542,20 +600,22 @@ SplitOram::auditInvariants(bool check_posmap,
     // 1. Per-slice storage shape, replicated counters, slice MACs.
     for (unsigned j = 0; j < params_.slices; ++j) {
         const Slice &sl = slices_[j];
-        check(sl.metaShare.size() == buckets && sl.dataShare.size() == buckets &&
+        check(sl.tree.size() == buckets * bucketShareBytes_ &&
                   sl.counter.size() == buckets && sl.mac.size() == buckets,
               [&] {
                   std::ostringstream os;
-                  os << "slice " << j << ": storage vectors not sized to "
+                  os << "slice " << j << ": storage arenas not sized to "
                      << buckets << " buckets";
                   return os.str();
               });
-        check(sl.stash.size() == stashSlots_, [&] {
-            std::ostringstream os;
-            os << "slice " << j << ": stash has " << sl.stash.size()
-               << " slots, allocator says " << stashSlots_;
-            return os.str();
-        });
+        check(sl.held.size() == stashSlots_ &&
+                  sl.stash.size() == stashSlots_ * dataShareBytes_,
+              [&] {
+                  std::ostringstream os;
+                  os << "slice " << j << ": stash has " << sl.held.size()
+                     << " slots, allocator says " << stashSlots_;
+                  return os.str();
+              });
         for (std::uint64_t seq = 0; seq < buckets; ++seq) {
             check(sl.counter[seq] == slices_[0].counter[seq], [&] {
                 std::ostringstream os;
@@ -563,12 +623,16 @@ SplitOram::auditInvariants(bool check_posmap,
                    << " counter diverges from slice 0";
                 return os.str();
             });
-            check(sliceMac(j, seq, sl) == sl.mac[seq], [&] {
-                std::ostringstream os;
-                os << "bucket " << seq << ": slice " << j
-                   << " MAC mismatch (tampered or stale)";
-                return os.str();
-            });
+            const auto image =
+                window(sl.tree, metaOffset(seq), bucketShareBytes_);
+            check(mac_.verify(sliceId(seq, j), sl.counter[seq],
+                              image.data(), image.size(), sl.mac[seq]),
+                  [&] {
+                      std::ostringstream os;
+                      os << "bucket " << seq << ": slice " << j
+                         << " MAC mismatch (tampered or stale)";
+                      return os.str();
+                  });
         }
     }
 
@@ -577,16 +641,17 @@ SplitOram::auditInvariants(bool check_posmap,
     //    passes through that bucket, and no address may appear twice
     //    (tree or shadow stash).
     std::unordered_set<Addr> seen;
+    std::vector<std::uint8_t> meta(static_cast<std::size_t>(z) * 16);
     for (unsigned level = 0; level <= L; ++level) {
         const std::uint64_t level_width = std::uint64_t{1} << level;
         for (std::uint64_t index = 0; index < level_width; ++index) {
             const oram::BucketPos pos{level, index};
             const std::uint64_t seq = layout_.bucketSeq(pos);
-            std::vector<std::uint8_t> meta(
-                static_cast<std::size_t>(z) * 16, 0);
             for (unsigned j = 0; j < params_.slices; ++j)
-                mergeShare(meta, slices_[j].metaShare[seq], j,
-                           params_.slices);
+                mergeShare(meta,
+                           window(slices_[j].tree, metaOffset(seq),
+                                  metaShareBytes_),
+                           j, params_.slices);
             cipher_.transformBuffer(meta.data(), meta.size(),
                                     metaNonce(seq),
                                     slices_[0].counter[seq]);
@@ -672,8 +737,8 @@ SplitOram::auditInvariants(bool check_posmap,
                       return os.str();
                   });
             for (unsigned j = 0; j < params_.slices; ++j) {
-                check(e.stashIdx < slices_[j].stash.size() &&
-                          slices_[j].stash[e.stashIdx].has_value(),
+                check(e.stashIdx < slices_[j].held.size() &&
+                          slices_[j].held[e.stashIdx],
                       [&] {
                           std::ostringstream os;
                           os << "shadow block " << a << ": slice " << j
@@ -710,7 +775,10 @@ void
 SplitOram::tamperSlice(unsigned slice, std::uint64_t bucket_seq,
                        unsigned slot, std::size_t byte_index)
 {
-    slices_.at(slice).dataShare.at(bucket_seq).at(slot).at(byte_index) ^=
+    if (bucket_seq >= params_.tree.numBuckets() ||
+        slot >= params_.tree.bucketBlocks || byte_index >= dataShareBytes_)
+        throw std::out_of_range("SplitOram::tamperSlice: no such share byte");
+    slices_.at(slice).tree.at(dataOffset(bucket_seq, slot) + byte_index) ^=
         0x01;
 }
 
@@ -719,18 +787,20 @@ SplitOram::residentBlocks() const
 {
     std::vector<std::pair<Addr, BlockData>> out;
     const unsigned z = params_.tree.bucketBlocks;
+    const unsigned s = params_.slices;
     const unsigned L = params_.tree.levels;
+    std::vector<std::uint8_t> meta(static_cast<std::size_t>(z) * 16);
     for (unsigned level = 0; level <= L; ++level) {
         const std::uint64_t level_width = std::uint64_t{1} << level;
         for (std::uint64_t index = 0; index < level_width; ++index) {
             const std::uint64_t seq =
                 layout_.bucketSeq({level, index});
             const std::uint64_t ctr = slices_[0].counter[seq];
-            std::vector<std::uint8_t> meta(
-                static_cast<std::size_t>(z) * 16, 0);
-            for (unsigned j = 0; j < params_.slices; ++j)
-                mergeShare(meta, slices_[j].metaShare[seq], j,
-                           params_.slices);
+            for (unsigned j = 0; j < s; ++j)
+                mergeShare(meta,
+                           window(slices_[j].tree, metaOffset(seq),
+                                  metaShareBytes_),
+                           j, s);
             cipher_.transformBuffer(meta.data(), meta.size(),
                                     metaNonce(seq), ctr);
             for (unsigned slot = 0; slot < z; ++slot) {
@@ -738,14 +808,15 @@ SplitOram::residentBlocks() const
                 std::memcpy(&a, meta.data() + 16 * slot, 8);
                 if (a == invalidAddr)
                     continue;
-                std::vector<std::uint8_t> merged(blockBytes, 0);
-                for (unsigned j = 0; j < params_.slices; ++j)
-                    mergeShare(merged, slices_[j].dataShare[seq][slot],
-                               j, params_.slices);
-                cipher_.transformBuffer(merged.data(), merged.size(),
-                                        dataNonce(seq, slot), ctr);
                 BlockData d{};
-                std::memcpy(d.data(), merged.data(), blockBytes);
+                for (unsigned j = 0; j < s; ++j)
+                    mergeShare(d,
+                               window(slices_[j].tree,
+                                      dataOffset(seq, slot),
+                                      dataShareBytes_),
+                               j, s);
+                cipher_.transformBuffer(d.data(), blockBytes,
+                                        dataNonce(seq, slot), ctr);
                 out.emplace_back(a, d);
             }
         }
@@ -756,17 +827,18 @@ SplitOram::residentBlocks() const
             out.emplace_back(kv.first, e.data);
             continue;
         }
-        std::vector<std::uint8_t> merged(blockBytes, 0);
-        for (unsigned j = 0; j < params_.slices; ++j) {
-            const auto &piece = slices_[j].stash[e.stashIdx];
-            SD_ASSERT(piece.has_value());
-            mergeShare(merged, piece->cipher, j, params_.slices);
+        BlockData d{};
+        for (unsigned j = 0; j < s; ++j) {
+            SD_ASSERT(slices_[j].held[e.stashIdx]);
+            mergeShare(d,
+                       window(slices_[j].stash,
+                              e.stashIdx * dataShareBytes_,
+                              dataShareBytes_),
+                       j, s);
         }
-        cipher_.transformBuffer(merged.data(), merged.size(),
+        cipher_.transformBuffer(d.data(), blockBytes,
                                 dataNonce(e.srcSeq, e.srcSlot),
                                 e.srcCounter);
-        BlockData d{};
-        std::memcpy(d.data(), merged.data(), blockBytes);
         out.emplace_back(kv.first, d);
     }
     return out;

@@ -18,13 +18,23 @@
  * slice instead of bit-split, letting each SDIMM verify its slice MAC
  * at read time.  Wire sizes are modeled as if split (the timing layer
  * charges the paper's message sizes).
+ *
+ * Storage layout: each slice keeps two flat arenas and no per-bucket
+ * heap objects.  The tree image is numBuckets x (Z*16/S + Z*64/S)
+ * bytes; bucket seq's window holds its metadata share followed by the
+ * Z data shares, exactly the byte string its slice MAC covers, so the
+ * (L+1)*S slice MACs of a path are checked (readPath) and re-tagged
+ * (writePath) in one batched PMMAC pass straight over the arena.  The
+ * stash is an array of 64/S-byte piece slots with a per-slot "held"
+ * flag; slot i is the same block's piece in every slice.
  */
 
 #ifndef SECUREDIMM_SDIMM_SPLIT_ORAM_HH
 #define SECUREDIMM_SDIMM_SPLIT_ORAM_HH
 
 #include <cstdint>
-#include <optional>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,11 +55,22 @@ class FaultInjector;
 namespace secdimm::sdimm
 {
 
-/** Byte-interleaving helpers (slice j gets bytes i with i%S == j). */
-std::vector<std::uint8_t> extractShare(
-    const std::vector<std::uint8_t> &full, unsigned slice, unsigned s);
-void mergeShare(std::vector<std::uint8_t> &full,
-                const std::vector<std::uint8_t> &share, unsigned slice,
+/** Bytes of a @p len-byte buffer that slice @p slice of @p s holds. */
+constexpr std::size_t
+shareBytes(std::size_t len, unsigned slice, unsigned s)
+{
+    return len > slice ? (len - slice + s - 1) / s : 0;
+}
+
+/**
+ * Byte-interleaving helpers (slice j gets bytes i with i%S == j).
+ * @p share spans exactly shareBytes(full.size(), slice, s) bytes;
+ * neither call allocates.
+ */
+void extractShare(std::span<const std::uint8_t> full, unsigned slice,
+                  unsigned s, std::span<std::uint8_t> share);
+void mergeShare(std::span<std::uint8_t> full,
+                std::span<const std::uint8_t> share, unsigned slice,
                 unsigned s);
 
 /** Split ORAM statistics. */
@@ -182,25 +203,15 @@ class SplitOram
     }
 
   private:
-    /** Per-slice ciphertext share of one block, parked in a stash. */
-    struct SlicePiece
-    {
-        std::vector<std::uint8_t> cipher; ///< blockBytes/S bytes.
-        std::uint64_t srcSeq = 0;
-        unsigned srcSlot = 0;
-        std::uint64_t srcCounter = 0;
-    };
-
-    /** One SDIMM's slice of the tree + its local stash. */
+    /** One SDIMM's slice of the tree + its local stash (see file
+     *  comment for the arena layout). */
     struct Slice
     {
-        /** [bucket] metadata cipher share. */
-        std::vector<std::vector<std::uint8_t>> metaShare;
-        /** [bucket][slot] data cipher share. */
-        std::vector<std::vector<std::vector<std::uint8_t>>> dataShare;
+        std::vector<std::uint8_t> tree;     ///< Per-bucket share images.
         std::vector<std::uint64_t> counter; ///< Replicated per slice.
         std::vector<crypto::Tag64> mac;
-        std::vector<std::optional<SlicePiece>> stash;
+        std::vector<std::uint8_t> stash;    ///< Piece slots.
+        std::vector<bool> held;             ///< Per slot: holds a piece.
     };
 
     /** CPU-side record of a block held in the SDIMM stashes. */
@@ -218,23 +229,42 @@ class SplitOram
     std::uint64_t metaNonce(std::uint64_t seq) const;
     std::uint64_t dataNonce(std::uint64_t seq, unsigned slot) const;
 
-    /** Full CTR pad of @p len bytes. */
-    std::vector<std::uint8_t> ctrPad(std::uint64_t nonce,
-                                     std::uint64_t counter,
-                                     std::size_t len) const;
+    /** Arena offset of bucket @p seq's metadata share. */
+    std::size_t
+    metaOffset(std::uint64_t seq) const
+    {
+        return seq * bucketShareBytes_;
+    }
 
-    /** Gather a slice's meta+data shares into the reused scratch. */
-    std::size_t gatherSlice(const Slice &sl, std::uint64_t seq) const;
+    /** Arena offset of bucket @p seq's slot-@p slot data share. */
+    std::size_t
+    dataOffset(std::uint64_t seq, unsigned slot) const
+    {
+        return metaOffset(seq) + metaShareBytes_ +
+               static_cast<std::size_t>(slot) * dataShareBytes_;
+    }
 
-    crypto::Tag64 sliceMac(unsigned slice, std::uint64_t seq,
-                           const Slice &sl) const;
+    /** Bucket seqs of the path to @p leaf, root first, into path_. */
+    void loadPath(LeafId leaf);
+
+    /**
+     * Point macItems_ at the slice images of @p seqs, bucket-major
+     * (item b*S + j is slice j of seqs[b]).
+     */
+    void stageSliceMacs(std::span<const std::uint64_t> seqs);
+
+    /** Re-tag every slice of @p seqs in one batched PMMAC pass. */
+    void tagBuckets(std::span<const std::uint64_t> seqs);
 
     /**
      * Model one FETCH_DATA of slice @p j of bucket @p seq: the SDIMM
-     * reads its share image (possibly bit-flipped in flight when an
-     * injector is armed) and checks it against the stored slice MAC.
+     * reads its share image, possibly bit-flipped in flight when an
+     * injector is armed.  A flipped image is copied and checked on
+     * its own; an intact one takes @p stored_ok, the batched verdict
+     * on the stored share.
      */
-    bool fetchAndVerifySlice(unsigned j, std::uint64_t seq) const;
+    bool fetchAndVerifySlice(unsigned j, std::uint64_t seq,
+                             bool stored_ok);
 
     /**
      * Charge @p bytes of CPU-channel traffic, retrying through
@@ -261,6 +291,10 @@ class SplitOram
     crypto::Pmmac mac_;
     Rng rng_;
 
+    std::size_t metaShareBytes_ = 0;   ///< Z*16/S.
+    std::size_t dataShareBytes_ = 0;   ///< blockBytes/S.
+    std::size_t bucketShareBytes_ = 0; ///< Meta + Z data shares.
+
     std::vector<Slice> slices_;
     std::vector<LeafId> posMap_;
     std::unordered_map<Addr, ShadowEntry> shadow_;
@@ -269,10 +303,25 @@ class SplitOram
 
     std::vector<LeafId> leafTrace_;
     SplitOramStats stats_;
-    /** Reused share-concatenation buffer for slice MACs (no
-     *  per-verification allocation in steady state). */
-    mutable std::vector<std::uint8_t> macScratch_;
     fault::FaultInjector *injector_ = nullptr;
+
+    /** Shadow-stash entry and the deepest path level it may settle
+     *  at (-1 once evicted), in shadow_ iteration order. */
+    struct EvictCandidate
+    {
+        std::unordered_map<Addr, ShadowEntry>::iterator it;
+        int deepest = -1;
+    };
+
+    /* Reused per-access scratch: no heap allocation in steady state. */
+    std::vector<std::uint64_t> path_;          ///< L+1 bucket seqs.
+    std::vector<crypto::PmmacItem> macItems_;  ///< One per slice image.
+    std::vector<crypto::Tag64> macTags_;       ///< Expected / fresh.
+    std::unique_ptr<bool[]> macOk_;            ///< (L+1)*S verdicts.
+    std::vector<std::uint8_t> metaBuf_;        ///< Z*16 metadata.
+    std::vector<std::uint8_t> macScratch_;     ///< A flipped fetch.
+    std::vector<EvictCandidate> evictOrder_;
+    std::vector<std::pair<Addr, ShadowEntry>> chosen_;
 };
 
 } // namespace secdimm::sdimm

@@ -183,7 +183,8 @@ TEST_P(SplitSweep, ShareSizesPartitionBlock)
     std::size_t total = 0;
     std::vector<std::uint8_t> rebuilt(blockBytes, 0);
     for (unsigned j = 0; j < slices; ++j) {
-        const auto share = extractShare(full, j, slices);
+        std::vector<std::uint8_t> share(shareBytes(full.size(), j, slices));
+        extractShare(full, j, slices, share);
         total += share.size();
         mergeShare(rebuilt, share, j, slices);
     }
